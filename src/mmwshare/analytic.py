@@ -6,10 +6,20 @@ multiplying the noise factor by the interference Laplace transform, and
 integrating against the association-distance density.
 
 Interference Laplace transforms reduce to products of exponentials of
-semi-infinite integrals; those are mapped onto [0, 1) by the
-substitution t = lower + v/(1-v) and evaluated with an adaptive
-21-point Gauss-Kronrod rule that handles all integrals of one transform
-in a single vectorized pass.
+semi-infinite integrals, one per (block, interferer link type) segment.
+Each is mapped onto [0, 1) by a stretched substitution t = lower +
+q*(exp(Y*v) - 1) and truncated where an analytic tail bound vanishes.
+
+Both integration levels use one adaptive 21-point Gauss-Kronrod routine
+(QUADPACK qk21 panels) in which every component keeps its own panels and
+the new panels of all components are evaluated together, a bounded number
+per call.  The outer level integrates over the serving distance r, on a
+map that is logarithmic above 1e-4 * r_max, with one component per
+threshold.  Its integrand hands every r node of every pending panel, both
+serving link types and every segment to one inner call, whose components
+are the segments' exponent integrals.  Since each component is refined on
+its own errors, a threshold's value does not depend on which thresholds
+share its batch or worker process.
 """
 
 from __future__ import annotations
@@ -18,11 +28,12 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 
 from .core import (
     BlockModel,
@@ -224,95 +235,136 @@ _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13, 15, 17, 19])  # embedded Gauss-10
 _GAUSS_W = np.concatenate([_WG, _WG[::-1]])
 
 
-def _gk21(f, a: float, b: float):
-    """One 21-point Gauss-Kronrod panel of a vector integrand on [a, b].
+# Panels per integrand call: bounds the size of every vectorised evaluation.
+_PANELS_PER_CALL = 256
 
-    Returns (kronrod (k,), error estimate (k,)) using the QUADPACK
-    roughness-scaled error model, which deliberately over-reports so that
-    the adaptive loop converges well past the requested tolerance.
+
+def _gk21(f, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray):
+    """21-point Gauss-Kronrod rule on the panels [lo_j, hi_j] of components comp_j.
+
+    Returns the Kronrod integrals (m,) and the QUADPACK roughness-scaled
+    error estimates (m,), which deliberately over-report so that the
+    adaptive loop converges well past the requested tolerance.  All
+    arithmetic is per row, so a panel's value does not depend on the
+    other panels of its call.
     """
-    mid = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fx = f(mid + h * _NODES)                    # (21, k)
-    resk = _WEIGHTS_K @ fx
-    resg = _GAUSS_W @ fx[_GAUSS_IDX]
-    resasc = _WEIGHTS_K @ np.abs(fx - 0.5 * resk)
-    err = np.abs(resk - resg) * h
-    resasc = resasc * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(
-            resasc > 0.0,
-            resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-            err,
-        )
-    return resk * h, scaled
+    vals, errs = [], []
+    for i in range(0, lo.size, _PANELS_PER_CALL):
+        a, b = lo[i:i + _PANELS_PER_CALL], hi[i:i + _PANELS_PER_CALL]
+        mid = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        fx = f(mid[:, None] + h[:, None] * _NODES, comp[i:i + _PANELS_PER_CALL])  # (m, 21)
+        resk = np.sum(fx * _WEIGHTS_K, axis=1)
+        resg = np.sum(fx[:, _GAUSS_IDX] * _GAUSS_W, axis=1)
+        resasc = np.sum(np.abs(fx - 0.5 * resk[:, None]) * _WEIGHTS_K, axis=1) * h
+        err = np.abs(resk - resg) * h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = np.where(
+                resasc > 0.0,
+                resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
+                err,
+            )
+        vals.append(resk * h)
+        errs.append(scaled)
+    return np.concatenate(vals), np.concatenate(errs)
 
 
-def adaptive_gk21(f, a: float, b: float, epsabs: float = 1e-9, epsrel: float = 1e-7,
-                  max_panels: int = 256) -> np.ndarray:
-    """Adaptive Gauss-Kronrod integration of a vector integrand.
+def adaptive_gk21(f, a: float, b: float, n: int, *, epsabs: float = 1e-9,
+                  epsrel: float = 1e-7, max_panels: int = 256) -> np.ndarray:
+    """Adaptive Gauss-Kronrod integration of n integrands over [a, b].
 
-    ``f`` maps an (n,) array of abscissae to an (n, k) array; every
-    component is integrated over [a, b] and refined until each satisfies
-    err_i <= max(epsabs, epsrel*|I_i|).  The panel with the largest
-    component error is bisected first.
+    ``f(x, k)`` maps an (m, 21) array of abscissae, whose row j belongs
+    to component k[j], to the (m, 21) integrand values.  Every component
+    keeps its own panels and is refined until err_i <= max(epsabs,
+    epsrel*|I_i|): each round bisects the worst panel of every unconverged
+    component, and the new panels of all components go to ``f`` together,
+    at most _PANELS_PER_CALL per call.  So a component's integral does
+    not depend on the components it is batched with.  Raises
+    NumericalError naming the components that reach ``max_panels``
+    panels unconverged.
     """
-    val, err = _gk21(f, a, b)
-    panels = [(a, b, val, err)]
-    while len(panels) < max_panels:
-        total = np.sum([p[2] for p in panels], axis=0)
-        toterr = np.sum([p[3] for p in panels], axis=0)
-        if np.all(toterr <= np.maximum(epsabs, epsrel * np.abs(total))):
-            return total
-        worst = max(range(len(panels)), key=lambda i: float(panels[i][3].max()))
-        pa, pb, _, _ = panels.pop(worst)
-        pm = 0.5 * (pa + pb)
-        v1, e1 = _gk21(f, pa, pm)
-        v2, e2 = _gk21(f, pm, pb)
-        panels.append((pa, pm, v1, e1))
-        panels.append((pm, pb, v2, e2))
-    raise NumericalError("vector quadrature failed to converge within the panel budget")
+    comp = np.arange(n)
+    lo = np.full(n, float(a))
+    hi = np.full(n, float(b))
+    val, err = _gk21(f, lo, hi, comp)
+    out = np.empty(n)
+    pending = comp
+    panels = 1  # panels of every pending component
+    while True:
+        # bincount adds in panel order, so each component's sums are its own;
+        # the panel arrays hold only the live panels of pending components
+        total = np.bincount(comp, weights=val, minlength=n)[pending]
+        toterr = np.bincount(comp, weights=err, minlength=n)[pending]
+        done = toterr <= np.maximum(epsabs, epsrel * np.abs(total))
+        if done.any():
+            out[pending[done]] = total[done]
+            finished = np.zeros(n, dtype=bool)
+            finished[pending[done]] = True
+            keep = ~finished[comp]
+            comp, lo, hi, val, err = (v[keep] for v in (comp, lo, hi, val, err))
+            pending = pending[~done]
+        if pending.size == 0:
+            return out
+        if panels >= max_panels:
+            raise NumericalError(
+                f"adaptive quadrature did not converge within {max_panels} panels "
+                f"for component(s) {pending.tolist()} of {n}"
+            )
+        # bisect each pending component's panel with the largest error (first on ties)
+        order = np.lexsort((-err, comp))
+        worst = order[np.r_[True, comp[order][1:] != comp[order][:-1]]]
+        mid = 0.5 * (lo[worst] + hi[worst])
+        new_lo = np.stack([lo[worst], mid], axis=1).ravel()
+        new_hi = np.stack([mid, hi[worst]], axis=1).ravel()
+        new_comp = np.repeat(pending, 2)
+        new_val, new_err = _gk21(f, new_lo, new_hi, new_comp)
+        keep = np.ones(comp.size, dtype=bool)
+        keep[worst] = False
+        comp = np.concatenate([comp[keep], new_comp])
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
+        panels += 1
 
 
-class _Segment(NamedTuple):
-    """One exponent integral of an interference Laplace transform.
+class _Segments(NamedTuple):
+    """Exponent integrals of interference Laplace transforms, as arrays.
 
-    Contributes weight * int (1 - u^power)(1 + mix*u) p_tau(t) t dt over
-    [lower, upper] (upper=None means +infinity) to the log transform,
-    where u is the single-interferer kernel of the segment's link type.
+    Element i contributes weight * int (1 - u^power)(1 + mix*u) p_tau(t) t dt
+    over [lower, upper] (upper = inf for a semi-infinite range) to a log
+    transform, where u is the single-interferer kernel of link type ``los``.
+    The fields broadcast together.
     """
 
-    weight: float
-    power: int
-    mix: float
-    los: bool
-    lower: float
-    upper: float | None
+    weight: np.ndarray
+    power: np.ndarray
+    mix: np.ndarray
+    los: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
-def _exponent_each(segments: Sequence[_Segment], params: SystemParams, s,
+def _exponent_each(segs: _Segments, params: SystemParams, s,
                    epsabs: float = 1e-9, epsrel: float = 1e-7) -> np.ndarray:
-    """Per-segment exponent integrals, evaluated in one adaptive pass.
+    """Every exponent integral of ``segs``, evaluated in one batched adaptive pass.
 
-    ``s`` may be a scalar or one value per segment.  Zero-weight segments
-    cost nothing and return exactly 0, preserving factor identities.
+    ``s`` broadcasts against the segment fields and the result has their
+    common shape.  Zero-weight entries and entries with s = 0 cost nothing
+    and return exactly 0, preserving factor identities.
     """
-    out = np.zeros(len(segments))
-    s_all = np.broadcast_to(np.asarray(s, dtype=float), (len(segments),))
-    live = [i for i, g in enumerate(segments) if g.weight > 0.0 and s_all[i] > 0.0]
-    if not live:
-        return out
-    segs = [segments[i] for i in live]
-    s_arr = s_all[live]
-    w = np.array([g.weight for g in segs])
-    power = np.array([float(g.power) for g in segs])
-    mix = np.array([g.mix for g in segs])
-    c = np.array([params.c_los if g.los else params.c_nlos for g in segs])
-    al = np.array([params.alpha_los if g.los else params.alpha_nlos for g in segs])
-    is_los = np.array([g.los for g in segs])
-    lo = np.array([g.lower for g in segs])
-    fin = np.array([g.upper is not None for g in segs])
-    span = np.array([(g.upper - g.lower) if g.upper is not None else 1.0 for g in segs])
+    shape = np.broadcast_shapes(*(np.shape(a) for a in segs), np.shape(s))
+    w, power, mix, is_los, lo, upper, s_arr = (
+        np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in (*segs, s))
+    out = np.zeros(w.size)
+    live = np.flatnonzero((w > 0.0) & (s_arr > 0.0))
+    if live.size == 0:
+        return out.reshape(shape)
+    w, power, mix, is_los, lo, upper, s_arr = (
+        a[live] for a in (w, power, mix, is_los, lo, upper, s_arr))
+    is_los = is_los > 0.0
+    fin = np.isfinite(upper)
+    span = np.where(fin, upper - lo, 1.0)
+    c = np.where(is_los, params.c_los, params.c_nlos)
+    al = np.where(is_los, params.alpha_los, params.alpha_nlos)
     beta = params.beta_per_m
     pb = params.main_lobe_prob
     g_main, g_side = params.gain_main, params.gain_side
@@ -351,57 +403,72 @@ def _exponent_each(segments: Sequence[_Segment], params: SystemParams, s,
     q = np.maximum(1.0, np.maximum(lo, np.minimum(transition, cap)))
     t_far = np.maximum(t_far, lo + 1e-6 * q)
     y_span = np.log1p((t_far - lo) / q)
+    sc = s_arr * c
 
-    def f(v: np.ndarray) -> np.ndarray:
-        vv = v[:, None]
+    def f(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+        col = k[:, None]
+        fin_k, lo_k, los_k = fin[col], lo[col], is_los[col]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            stretch = np.exp(y_span * vv)
-            t = np.where(fin, lo + span * vv, lo + q * (stretch - 1.0))
-            jac = np.where(fin, span, q * y_span * stretch)
-            x = s_arr * c * t ** (-al)
+            stretch = np.exp(y_span[col] * v)
+            t = np.where(fin_k, lo_k + span[col] * v, lo_k + q[col] * (stretch - 1.0))
+            jac = np.where(fin_k, span[col], q[col] * y_span[col] * stretch)
+            x = sc[col] * t ** (-al[col])
             xm = x * g_main
             xs = x * g_side
             # 1 - u without cancellation at small x; 1 - u^k via log1p/expm1
             # so the integrand stays smooth to machine precision in the tail
             y = pb * xm / (1.0 + xm) + (1.0 - pb) * xs / (1.0 + xs)
-            one_minus_uk = -np.expm1(power * np.log1p(-y))
+            one_minus_uk = -np.expm1(power[col] * np.log1p(-y))
             p_l = np.exp(-beta * t)
-            p = np.where(is_los, p_l, 1.0 - p_l)
-            vals = w * one_minus_uk * (1.0 + mix * (1.0 - y)) * p * t * jac
+            p = np.where(los_k, p_l, 1.0 - p_l)
+            vals = w[col] * one_minus_uk * (1.0 + mix[col] * (1.0 - y)) * p * t * jac
         # t = 0 endpoints produce transient non-finite intermediates
         return np.where(np.isfinite(vals), vals, 0.0)
 
-    out[live] = adaptive_gk21(f, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel)
-    return out
+    out[live] = adaptive_gk21(f, 0.0, 1.0, live.size, epsabs=epsabs, epsrel=epsrel)
+    return out.reshape(shape)
 
 
-def _segments_general(blocks, params: SystemParams, r: float, serving_los: bool,
-                      home_operator: int) -> list[_Segment]:
-    d = exclusion_radius(params, r, serving_los)
-    lo_los, lo_nlos = (r, d) if serving_los else (d, r)
-    segs = []
-    for subset, lam in blocks:
-        home = home_operator in subset
-        k = len(subset)
-        segs.append(_Segment(2.0 * np.pi * lam, k, 0.0, True, lo_los if home else 0.0, None))
-        segs.append(_Segment(2.0 * np.pi * lam, k, 0.0, False, lo_nlos if home else 0.0, None))
-    return segs
+def _segments_general(blocks, params: SystemParams, r, serving_los,
+                      home_operator: int) -> _Segments:
+    """Segments of the block decomposition, shape r.shape + (blocks, 2).
+
+    ``r`` and ``serving_los`` broadcast together; the last axis holds the
+    interferer link type (LOS, NLOS).  Home-network blocks start at the
+    serving distance (same link type) or the exclusion radius (other
+    type); the other blocks start at 0.
+    """
+    r = np.asarray(r, dtype=float)[..., None, None]
+    serving_los = np.asarray(serving_los, dtype=bool)[..., None, None]
+    d = np.where(serving_los, exclusion_radius(params, r, True),
+                 exclusion_radius(params, r, False))
+    near = np.concatenate(np.broadcast_arrays(np.where(serving_los, r, d),
+                                              np.where(serving_los, d, r)), axis=-1)
+    home = np.array([[home_operator in subset] for subset, _ in blocks])
+    return _Segments(
+        weight=np.array([[2.0 * np.pi * lam] for _, lam in blocks]),
+        power=np.array([[len(subset)] for subset, _ in blocks]),
+        mix=0.0,
+        los=np.array([True, False]),
+        lower=np.where(home, near, 0.0),
+        upper=np.inf,
+    )
 
 
 def _segments_two_op(spec: TwoOpSpec, params: SystemParams, r: float,
-                     serving_los: bool) -> list[_Segment]:
-    lam = spec.lambda_total
-    one_minus_a = 1.0 - spec.retain_a
-    rho = spec.rho
+                     serving_los: bool) -> _Segments:
     d = exclusion_radius(params, r, serving_los)
     near_los, near_nlos = (r, d) if serving_los else (d, r)
-    two_pi_lam = 2.0 * np.pi * lam
-    return [
-        _Segment(two_pi_lam * one_minus_a, 1, 0.0, True, 0.0, near_los),
-        _Segment(two_pi_lam, 1, rho, True, near_los, None),
-        _Segment(two_pi_lam * one_minus_a, 1, 0.0, False, 0.0, near_nlos),
-        _Segment(two_pi_lam, 1, rho, False, near_nlos, None),
-    ]
+    two_pi_lam = 2.0 * np.pi * spec.lambda_total
+    solo = two_pi_lam * (1.0 - spec.retain_a)
+    return _Segments(
+        weight=np.array([solo, two_pi_lam, solo, two_pi_lam]),
+        power=1,
+        mix=np.array([0.0, spec.rho, 0.0, spec.rho]),
+        los=np.array([True, True, False, False]),
+        lower=np.array([0.0, near_los, 0.0, near_nlos]),
+        upper=np.array([near_los, np.inf, near_nlos, np.inf]),
+    )
 
 
 def laplace_general(scenario, params: SystemParams, subset: OperatorSet, serving_los: bool,
@@ -421,8 +488,7 @@ def laplace_general(scenario, params: SystemParams, subset: OperatorSet, serving
         raise ConfigError("serving distance must be positive")
     if s < 0:
         raise ConfigError("Laplace argument must be >= 0")
-    blocks = blocks_of(scenario)
-    segs = _segments_general(blocks, params, r, serving_los, home_operator)
+    segs = _segments_general(blocks_of(scenario), params, r, serving_los, home_operator)
     total = float(_exponent_each(segs, params, s, epsabs, epsrel).sum())
     co = interference_kernel(params, s, r, serving_los) ** (len(subset) - 1)
     return float(co * math.exp(-total))
@@ -559,56 +625,63 @@ class CoverageCurve:
 # ---------------------------------------------------------------------------
 # SINR / rate coverage
 
-def _coverage_integrand(r: float, t_lin: float, scenario, params: SystemParams,
-                        home_operator: int, lam_home: float, home_blocks,
-                        include_interference: bool, epsabs: float, epsrel: float) -> float:
+# The outer integral runs in v on [0, 1] with r = q*(exp(Y*v) - 1), q =
+# _OUTER_KNEE * r_max: linear below q and logarithmic above it.  The
+# coverage mass of a high threshold T sits at r ~ T^(-1/alpha), decades
+# below r_max, where a first panel linear in r has no node and reports a
+# converged 0.
+_OUTER_KNEE = 1e-4
+
+
+def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
+                    home_operator: int, include_interference: bool, r_max: float,
+                    epsabs: float, epsrel: float, outer_epsabs: float,
+                    outer_epsrel: float) -> np.ndarray:
+    """Coverage at every threshold: one adaptive integral over r in [0, r_max] each.
+
+    Each integrand call gets the r nodes of every pending panel; those
+    nodes times both serving link types times every segment go to one
+    _exponent_each call.
+    """
+    blocks = blocks_of(scenario)
+    lam_home = operator_density_of(scenario, home_operator)
+    home_k = np.array([len(sub) for sub, _ in blocks if home_operator in sub])
+    home_lam = np.array([lam for sub, lam in blocks if home_operator in sub])
     beta = params.beta_per_m
-    sigma2 = params.sigma2
-    two_op = isinstance(scenario, TwoOpSpec)
-    out = 0.0
-    for serving_los in (True, False):
-        c = params.c_los if serving_los else params.c_nlos
-        al = params.alpha_los if serving_los else params.alpha_nlos
-        s = t_lin * r**al / (c * params.gain_main)
-        d = exclusion_radius(params, r, serving_los)
-        if serving_los:
-            expo = los_measure(lam_home, beta, r) + nlos_measure(lam_home, beta, d)
-            p = math.exp(-beta * r)
-        else:
-            expo = nlos_measure(lam_home, beta, r) + los_measure(lam_home, beta, d)
-            p = -math.expm1(-beta * r)
-        pref = 2.0 * math.pi * r * p * math.exp(-expo - sigma2 * s)
-        if pref < 1e-300:
-            continue
+    q = r_max * _OUTER_KNEE
+    y_span = math.log1p(r_max / q)
+
+    def integrand(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+        n = v.size
+        stretch = np.exp(y_span * v.ravel())
+        # every node twice: served over a LOS link, then over an NLOS link
+        r = np.tile(q * (stretch - 1.0), 2)
+        los = np.arange(2 * n) < n
+        t_lin = np.tile(np.repeat(thresholds_lin[k], v.shape[1]), 2)
+        s = t_lin * r ** np.where(los, params.alpha_los, params.alpha_nlos) / (
+            np.where(los, params.c_los, params.c_nlos) * params.gain_main)
+        d = np.where(los, exclusion_radius(params, r, True), exclusion_radius(params, r, False))
+        expo = (los_measure(lam_home, beta, np.where(los, r, d))
+                + nlos_measure(lam_home, beta, np.where(los, d, r)))
+        p = np.where(los, np.exp(-beta * r), -np.expm1(-beta * r))
+        vals = 2.0 * np.pi * r * p * np.exp(-expo - params.sigma2 * s)
+        vals[vals < 1e-300] = 0.0
         if include_interference:
-            if two_op:
-                segs = _segments_two_op(scenario, params, r, serving_los)
-            else:
-                segs = _segments_general(blocks_of(scenario), params, r, serving_los,
-                                         home_operator)
-            total = float(_exponent_each(segs, params, s, epsabs, epsrel).sum())
-            u_r = interference_kernel(params, s, r, serving_los)
-            weighted = sum(lam * u_r ** (k - 1) for k, lam in home_blocks)
-            out += pref * math.exp(-total) * weighted
+            live = np.flatnonzero(vals)
+            r, s, los = r[live], s[live], los[live]
+            segs = _segments_general(blocks, params, r, los, home_operator)
+            expo = _exponent_each(segs, params, s[:, None, None], epsabs, epsrel)
+            u_r = np.where(los, interference_kernel(params, s, r, True),
+                           interference_kernel(params, s, r, False))
+            vals[live] = (vals[live] * np.exp(-expo.reshape(live.size, -1).sum(axis=1))
+                          * np.sum(home_lam * u_r[:, None] ** (home_k - 1), axis=1))
         else:
-            out += pref * lam_home
-    return out
+            vals *= lam_home
+        return ((vals[:n] + vals[n:]) * q * y_span * stretch).reshape(v.shape)
 
-
-def _coverage_one(args) -> float:
-    (scenario, params, t_lin, home_operator, lam_home, home_blocks,
-     include_interference, r_max, epsabs, epsrel, outer_epsabs, outer_epsrel) = args
-    val, _ = integrate.quad(
-        _coverage_integrand,
-        0.0,
-        r_max,
-        args=(t_lin, scenario, params, home_operator, lam_home, home_blocks,
-              include_interference, epsabs, epsrel),
-        epsabs=outer_epsabs,
-        epsrel=outer_epsrel,
-        limit=200,
-    )
-    return min(max(val, 0.0), 1.0)
+    vals = adaptive_gk21(integrand, 0.0, 1.0, thresholds_lin.size, epsabs=outer_epsabs,
+                         epsrel=outer_epsrel, max_panels=200)
+    return np.clip(vals, 0.0, 1.0)
 
 
 def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
@@ -616,40 +689,32 @@ def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
                      workers: int = 1, epsabs: float = 1e-9, epsrel: float = 1e-7,
                      outer_epsabs: float = 1e-7, outer_epsrel: float = 1e-6,
                      tail_mass: float = 1e-8) -> np.ndarray:
+    """Coverage at linear SINR thresholds.
+
+    With workers > 1 the grid is split into contiguous chunks, one per
+    worker process; each threshold's integral is refined on its own, so
+    the values do not depend on the split.
+    """
     if params.fading.kind != "rayleigh":
         raise ConfigError(
             "the analytic engine supports Rayleigh fading only; "
             "use the Monte Carlo simulator for other fading models"
         )
-    if home_operator != 1 and isinstance(scenario, TwoOpSpec) and home_operator != 2:
-        raise ConfigError("two-operator scenarios have operators 1 and 2 only")
     thresholds_lin = np.asarray(thresholds_lin, dtype=float)
     if np.any(thresholds_lin < 0):
         raise ConfigError("SINR thresholds must be >= 0 in linear scale")
     lam_home = operator_density_of(scenario, home_operator)
     if lam_home <= 0:
         raise ConfigError(f"operator {home_operator} has zero density")
-    if isinstance(scenario, TwoOpSpec) and home_operator == 2:
-        # coverage is symmetric in the operator labels; swap 1<->2
-        scenario = TwoOpSpec(scenario.lambda_total, 1.0 - scenario.retain_b,
-                             1.0 - scenario.retain_a)
-        home_operator = 1
-    blocks = blocks_of(scenario)
-    home_blocks = tuple(
-        (len(sub), lam) for sub, lam in blocks if home_operator in sub
-    )
-    r_max = truncation_radius(lam_home, params, tail_mass)
-    tasks = [
-        (scenario, params, float(t), home_operator, lam_home, home_blocks,
-         include_interference, r_max, epsabs, epsrel, outer_epsabs, outer_epsrel)
-        for t in thresholds_lin
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            probs = list(pool.map(_coverage_one, tasks))
-    else:
-        probs = [_coverage_one(t) for t in tasks]
-    return np.asarray(probs)
+    run = partial(_coverage_chunk, scenario=scenario, params=params,
+                  home_operator=home_operator, include_interference=include_interference,
+                  r_max=truncation_radius(lam_home, params, tail_mass), epsabs=epsabs,
+                  epsrel=epsrel, outer_epsabs=outer_epsabs, outer_epsrel=outer_epsrel)
+    chunks = np.array_split(thresholds_lin, min(max(workers, 1), thresholds_lin.size))
+    if len(chunks) == 1:
+        return run(thresholds_lin)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return np.concatenate(list(pool.map(run, chunks)))
 
 
 def sinr_coverage(scenario, params: SystemParams, thresholds_db, home_operator: int = 1,

@@ -32,7 +32,7 @@ from .core import (
     load_factor,
     rate_sinr_threshold,
 )
-from .geometry import Deployment
+from .geometry import Deployment, _guard_point_budget
 
 _Z95 = 1.959963984540054
 
@@ -281,6 +281,7 @@ def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
                     f"window half-width {margin:.1f} m is below the truncation "
                     f"radius {r_max:.1f} m; enlarge the window"
                 )
+        _guard_point_budget(scenario.total_density() * window.area())
         payload = tuple((sub.bits, lam) for sub, lam in scenario.blocks())
         desc = "blocks(" + ", ".join(
             f"{sub.to_text()}:{lam * 1e6:.6g}/km^2" for sub, lam in scenario.blocks()
@@ -299,6 +300,7 @@ def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
                 f"half_width_m {half:.1f} is below the truncation radius {r_max:.1f} m"
             )
         window = Window.square(half)
+        _guard_point_budget(scenario.lambda_total * window.area())
         payload = (scenario.lambda_total, scenario.retain_a, scenario.retain_b)
         desc = (
             f"two-op(lambda_total={scenario.lambda_total * 1e6:.6g}/km^2, "

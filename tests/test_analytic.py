@@ -1,6 +1,8 @@
 """Analytic engine: measures, quadrature, Laplace transforms, curves."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,11 +104,20 @@ def test_interference_kernel_limits():
 # Adaptive quadrature
 
 
+def _per_component(f):
+    """Adapt an integrand mapping (n,) abscissae to (n, k) values to the
+    adaptive_gk21 convention: (m, 21) abscissae plus each row's component."""
+    def g(x, comp):
+        vals = f(x.ravel())
+        return vals[np.arange(x.size), np.repeat(comp, x.shape[1])].reshape(x.shape)
+    return g
+
+
 def test_adaptive_gk21_known_integrals():
     def f(x):
         return np.stack([np.sin(x), np.exp(x), 1.0 / (1.0 + x * x)], axis=-1)
 
-    got = adaptive_gk21(f, 0.0, 3.0, epsabs=1e-13, epsrel=1e-12)
+    got = adaptive_gk21(_per_component(f), 0.0, 3.0, 3, epsabs=1e-13, epsrel=1e-12)
     want = np.array([1.0 - math.cos(3.0), math.exp(3.0) - 1.0, math.atan(3.0)])
     assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
 
@@ -119,7 +130,7 @@ def test_adaptive_gk21_resolves_narrow_peak():
     def f(x):
         return (np.exp(-((x - x0) / w) ** 2))[:, None]
 
-    got = adaptive_gk21(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10)
+    got = adaptive_gk21(_per_component(f), 0.0, 1.0, 1, epsabs=1e-14, epsrel=1e-10)
     want = w * math.sqrt(math.pi)  # both tails are > 18 widths away
     assert got[0] == pytest.approx(want, rel=1e-9)
 
@@ -129,7 +140,35 @@ def test_adaptive_gk21_panel_budget_error():
         return np.abs(x - 1.0 / 3.0)[:, None] ** -0.9
 
     with pytest.raises(NumericalError):
-        adaptive_gk21(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, max_panels=4)
+        adaptive_gk21(_per_component(f), 0.0, 1.0, 1, epsabs=1e-14, epsrel=1e-12,
+                      max_panels=4)
+
+
+def _easy_and_peak(x):
+    # component 0 converges on one panel; component 1 is the narrow peak
+    return np.stack([np.sin(x), np.exp(-((x - 0.37171234) / 0.02) ** 2)], axis=-1)
+
+
+def test_adaptive_gk21_component_ignores_its_batch():
+    def sin_only(x):
+        return np.sin(x)[:, None]
+
+    kw = dict(epsabs=1e-14, epsrel=1e-10)
+    alone = adaptive_gk21(_per_component(sin_only), 0.0, 1.0, 1, **kw)
+    batched = adaptive_gk21(_per_component(_easy_and_peak), 0.0, 1.0, 2, **kw)
+    peak_alone = adaptive_gk21(
+        _per_component(lambda x: _easy_and_peak(x)[:, 1:]), 0.0, 1.0, 1, **kw)
+    assert batched[0] == alone[0]
+    assert batched[1] == peak_alone[0]
+
+
+def test_adaptive_gk21_budget_error_names_only_the_spent_component():
+    def f(x):
+        return np.stack([np.sin(x), np.abs(x - 1.0 / 3.0) ** -0.9], axis=-1)
+
+    with pytest.raises(NumericalError, match=r"component\(s\) \[1\] of 2"):
+        adaptive_gk21(_per_component(f), 0.0, 1.0, 2, epsabs=1e-14, epsrel=1e-12,
+                      max_panels=4)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +308,31 @@ def test_sinr_coverage_no_interference_matches_quadrature():
     assert curve.probabilities[0] == pytest.approx(want, abs=1e-6)
 
 
+def test_sinr_coverage_finds_mass_far_below_truncation_radius():
+    # At 40 and 60 dB the coverage mass sits within meters of the user,
+    # three decades below r_max.  Oracle: quad between decade breakpoints of
+    # association density x noise factor x interference transform.
+    spec = mw.fcd_scenario(1000.0 / KM2, 0.0)
+    home = mw.OperatorSet.of(1)
+    r_max = truncation_radius(spec.lambda_op1, P)
+    for t_db in (40.0, 60.0):
+        t_lin = 10.0 ** (t_db / 10.0)
+        want = 0.0
+        for los in (True, False):
+            c, al = (P.c_los, P.alpha_los) if los else (P.c_nlos, P.alpha_nlos)
+
+            def f(r):
+                s = t_lin * r**al / (c * P.gain_main)
+                return (association_pdf(spec, P, home, los, r) * math.exp(-P.sigma2 * s)
+                        * mw.laplace_general(spec, P, home, los, r, s))
+
+            pts = [1e-6, 0.01, 0.1, 1.0, 10.0, 100.0, r_max]
+            want += sum(integrate.quad(f, a, b, epsabs=1e-12, limit=200)[0]
+                        for a, b in zip(pts[:-1], pts[1:]))
+        got = mw.sinr_coverage(spec, P, [t_db]).probabilities[0]
+        assert got == pytest.approx(want, abs=1e-7)  # the outer epsabs
+
+
 def test_sinr_coverage_curve_shape():
     spec = mw.fid_scenario(30.0 / KM2, 0.4)
     curve = mw.sinr_coverage(spec, P, [-10.0, 0.0, 10.0, 20.0])
@@ -343,6 +407,37 @@ def test_coverage_curve_csv_round_trip(tmp_path):
     bad.write_text("foo,bar\n1,2\n")
     with pytest.raises(DataError):
         mw.CoverageCurve.from_csv(bad)
+
+
+def test_sinr_coverage_does_not_depend_on_workers():
+    spec = mw.fid_scenario(30.0 / KM2, 0.4)
+    grid = [-10.0, 0.0, 10.0, 20.0, 30.0]
+    one = mw.sinr_coverage(spec, P, grid, workers=1).probabilities
+    two = mw.sinr_coverage(spec, P, grid, workers=2).probabilities
+    assert np.max(np.abs(one - two)) <= 1e-12
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "analytic_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["curves"]))
+def test_sinr_coverage_matches_golden_curve(name):
+    ref = GOLDEN["curves"][name]
+    make = mw.fid_scenario if ref["mode"] == "fid" else mw.fcd_scenario
+    spec = make(GOLDEN["lambda0_per_km2"] / KM2, ref["rho"])
+    got = mw.sinr_coverage(spec, P, GOLDEN["thresholds_db"]).probabilities
+    assert np.max(np.abs(got - np.array(ref["probability"]))) <= 1e-6
+
+
+def test_three_operator_table_matches_golden(tmp_path):
+    ref = GOLDEN["three_op"]
+    path = tmp_path / "three_op.json"
+    path.write_text(json.dumps({k: ref[k] for k in ("window_m", "densities_per_km2")}))
+    model = mw.load_blocks_file(path)
+    got = mw.sinr_coverage(model, P, ref["thresholds_db"]).probabilities
+    assert np.max(np.abs(got - np.array(ref["probability"]))) <= 1e-6
+    med = mw.median_rate(model, P)
+    assert abs(med - ref["median_rate_bps"]) <= 1e-6 * ref["median_rate_bps"]
 
 
 def test_median_rate_halves_the_rate_ccdf():

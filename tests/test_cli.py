@@ -115,6 +115,18 @@ def test_simulate_on_deployment_csv(tmp_path):
                  "--out", str(out)]) == 2
 
 
+def test_simulate_oversized_window_is_config_error(tmp_path):
+    # ~1e14 expected sites either way: rejected before any replication
+    blocks = tmp_path / "huge.json"
+    blocks.write_text(json.dumps({"window_m": [-1e9, 1e9, -1e9, 1e9],
+                                  "densities_per_km2": {"1": 30.0, "1;2": 10.0}}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--blocks", str(blocks), "--reps", "10",
+                 "--out", str(out)]) == 2
+    assert main(["simulate", "--fid", "0.4", "--window-km", "2e6", "--reps", "10",
+                 "--out", str(out)]) == 2
+
+
 def test_simulate_missing_home_operator_is_data_error(tmp_path):
     csv_path = tmp_path / "op2only.csv"
     csv_path.write_text(

@@ -128,6 +128,15 @@ def test_simulation_rejects_zero_density_home():
         mw.run_simulation(lonely, P, SimPlan(replications=10, home_operator=2))
 
 
+def test_oversized_window_hits_the_point_budget_before_sampling():
+    # ~1e14 expected sites: without the guard this fails on allocation
+    model = mw.BlockModel(mw.Window.square(1e9), {mw.OperatorSet.of(1): 30.0 / KM2})
+    with pytest.raises(ConfigError, match="sampling budget"):
+        mw.run_simulation(model, P, SimPlan(replications=10, workers=2))
+    with pytest.raises(ConfigError, match="sampling budget"):
+        mw.run_simulation(SPEC, P, SimPlan(replications=10, half_width_m=1e9))
+
+
 def test_window_below_truncation_radius_is_rejected():
     model = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): 30.0 / KM2})
     with pytest.raises(ConfigError, match="truncation"):
