@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, special
 
 from .core import (
     BlockModel,
@@ -51,16 +50,35 @@ from .core import (
 # ---------------------------------------------------------------------------
 # Blockage-aware intensity measures and exclusion radii
 
+# x^2 * sum_k (-x)^k / (k! (k+2)) = P(2, x); 20 terms reach double precision at x = 1.
+_P2_SERIES = tuple((-1.0) ** k / (math.factorial(k) * (k + 2)) for k in range(20))
+
+
+def _gammainc2(x: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(2, x) = 1 - exp(-x) * (1 + x).
+
+    The closed form cancels below x = 1, where the alternating series is
+    used instead.  x is capped at 800, past which exp(-x) underflows and
+    P(2, x) is 1, so that x = inf gives 1 rather than inf * 0.
+    """
+    xs = np.minimum(x, 1.0)
+    series = np.zeros_like(xs)
+    for c in reversed(_P2_SERIES):
+        series = series * xs + c
+    xl = np.minimum(x, 800.0)
+    return np.where(x < 1.0, xs * xs * series, -np.expm1(-xl) - xl * np.exp(-xl))
+
+
 def los_measure(density: float, beta: float, r):
     """Expected LOS sites of a block of ``density`` within distance r.
 
-    2*pi*lam * int_0^r exp(-beta t) t dt = (2*pi*lam/beta^2) * gamma(2, beta r);
-    gammainc is the regularized lower incomplete gamma and Gamma(2) = 1.
+    2*pi*lam * int_0^r exp(-beta t) t dt = (2*pi*lam/beta^2) * P(2, beta r),
+    with P the regularized lower incomplete gamma function.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ConfigError("measure radius must be >= 0")
-    val = (2.0 * np.pi * density / beta**2) * special.gammainc(2.0, beta * r)
+    val = (2.0 * np.pi * density / beta**2) * _gammainc2(beta * r)
     return val if val.ndim else float(val)
 
 
@@ -133,6 +151,68 @@ def operator_density_of(scenario, m: int) -> float:
     )
 
 
+_BRENT_RTOL = 4 * np.finfo(float).eps
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENT_RTOL,
+            maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of SciPy's brentq.c (same bracket bookkeeping,
+    interpolation tests and step rule), so it returns the same float as
+    ``scipy.optimize.brentq``.  Where SciPy raises ValueError or
+    RuntimeError -- no sign change over [a, b], a NaN from f, no
+    convergence in ``maxiter`` iterations -- this raises NumericalError.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"root finding: the function is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError(
+            f"root finding: f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NumericalError(f"root finding did not converge in {maxiter} iterations")
+
+
 def truncation_radius(lambda_home, params: SystemParams, tail_mass: float = 1e-8) -> float:
     """Radius beyond which the association-distance tail mass is < tail_mass.
 
@@ -159,7 +239,7 @@ def truncation_radius(lambda_home, params: SystemParams, tail_mass: float = 1e-8
         return lo
     if log_bound_excess(hi) > 0:
         raise NumericalError("could not bracket the association-tail truncation radius")
-    return float(optimize.brentq(log_bound_excess, lo, hi, xtol=1e-3))
+    return _brentq(log_bound_excess, lo, hi, xtol=1e-3)
 
 
 def association_pdf(scenario, params: SystemParams, subset: OperatorSet, serving_los: bool,
@@ -763,4 +843,4 @@ def median_rate(scenario, params: SystemParams, home_operator: int = 1, *,
         raise NumericalError(
             f"median rate not bracketed: coverage still >= 0.5 at {hi:.3e} bps"
         )
-    return float(optimize.brentq(excess, 0.0, hi, rtol=rtol, xtol=1.0))
+    return _brentq(excess, 0.0, hi, xtol=1.0, rtol=rtol)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .core import (
     fcd_scenario,
     fid_scenario,
     load_blocks_file,
-    params_from_dict,
+    load_params_file,
     params_to_dict,
     PRESETS,
 )
@@ -39,6 +40,7 @@ DEFAULT_LAMBDA0_PER_KM2 = 30.0
 DEFAULT_SINR_GRID = "-10:1:30"
 DEFAULT_RATE_GRID_MBPS = "25:25:500"
 _BARE = "__bare__"  # --fid / --fcd used without a value
+MAX_GRID_POINTS = 10_000  # per --sinr / --rates grid
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +55,16 @@ def parse_grid(text: str, name: str) -> np.ndarray:
         lo, step, hi = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--{name} expects numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in (lo, step, hi)):
+        raise ConfigError(f"--{name} expects finite numbers, got {text!r}")
     if step <= 0:
         raise ConfigError(f"--{name} step must be positive")
     if hi < lo:
         raise ConfigError(f"--{name} upper end must be >= lower end")
-    n = int(np.floor((hi - lo) / step + 1e-9))
-    return lo + step * np.arange(n + 1)
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise ConfigError(f"--{name} grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return lo + step * np.arange(int(steps) + 1)
 
 
 def parse_bins(text: str) -> tuple[int, ...]:
@@ -82,17 +88,7 @@ def _load_params(args) -> SystemParams:
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}; known: {sorted(PRESETS)}")
     base = PRESETS[args.preset]
-    if args.params is None:
-        return base
-    try:
-        data = json.loads(Path(args.params).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read params file {args.params}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"params file {args.params} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("params file must hold a JSON object")
-    return params_from_dict(data, base=base)
+    return base if args.params is None else load_params_file(args.params, base=base)
 
 
 def _sharing_mode_and_rho(args) -> tuple[str | None, float | None]:
@@ -174,8 +170,9 @@ def _write(path: Path, text: str) -> None:
 def cmd_analyze(args) -> int:
     params = _load_params(args)
     scenario, desc = _resolve_scenario(args, allow_deployment=False)
-    out = _out_dir(args)
     grid = parse_grid(args.sinr or DEFAULT_SINR_GRID, "sinr")
+    rates = parse_grid(args.rates, "rates") * 1e6 if args.rates else None
+    out = _out_dir(args)
     curve = analytic.sinr_coverage(scenario, params, grid, workers=args.threads)
     curve.to_csv(out / "sinr_coverage.csv")
     print(f"wrote {out / 'sinr_coverage.csv'}")
@@ -184,8 +181,7 @@ def cmd_analyze(args) -> int:
         "engine: analytic",
         f"sinr_grid_db: {args.sinr or DEFAULT_SINR_GRID}",
     ]
-    if args.rates:
-        rates = parse_grid(args.rates, "rates") * 1e6
+    if rates is not None:
         rcurve = analytic.rate_coverage(scenario, params, rates, workers=args.threads)
         rcurve.to_csv(out / "rate_coverage.csv")
         print(f"wrote {out / 'rate_coverage.csv'}")
@@ -205,8 +201,9 @@ def cmd_simulate(args) -> int:
     scenario, desc = _resolve_scenario(args, allow_deployment=True)
     if isinstance(scenario, geometry.Deployment) and args.window_km is not None:
         raise ConfigError("--window-km does not apply to a fixed deployment")
-    out = _out_dir(args)
     grid = parse_grid(args.sinr or DEFAULT_SINR_GRID, "sinr")
+    rates = parse_grid(args.rates, "rates") * 1e6 if args.rates else None
+    out = _out_dir(args)
     half = args.window_km * 1000.0 / 2.0 if args.window_km is not None else None
     plan = montecarlo.SimPlan(
         replications=args.reps,
@@ -218,8 +215,7 @@ def cmd_simulate(args) -> int:
     result = montecarlo.run_simulation(scenario, params, plan)
     result.curve.to_csv(out / "sinr_empirical.csv")
     print(f"wrote {out / 'sinr_empirical.csv'}")
-    if args.rates:
-        rates = parse_grid(args.rates, "rates") * 1e6
+    if rates is not None:
         lam_op = _operator_density(scenario, plan.home_operator)
         rcurve = montecarlo.rate_curve_from_samples(result.sinr, rates, params, lam_op)
         rcurve.to_csv(out / "rate_empirical.csv")

@@ -556,8 +556,8 @@ def params_from_dict(data: Mapping, base: SystemParams | None = None) -> SystemP
         raise ConfigError(f"bad parameter value: {exc}") from exc
 
 
-def load_params_file(path: str | Path) -> SystemParams:
-    """Load a JSON parameter file (see params_from_dict for the schema)."""
+def load_params_file(path: str | Path, base: SystemParams | None = None) -> SystemParams:
+    """Load a JSON parameter file overlaid on ``base`` (see params_from_dict)."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -566,7 +566,7 @@ def load_params_file(path: str | Path) -> SystemParams:
         raise ConfigError(f"params file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"params file {path} must hold a JSON object")
-    return params_from_dict(data)
+    return params_from_dict(data, base=base)
 
 
 def load_blocks_file(path: str | Path) -> BlockModel:

@@ -15,6 +15,10 @@ refined; scanning a ladder of grid sizes and looking for the plateau
 gives an estimate that is robust to the choice of cell size and doubles
 as a diagnostic: if the two estimators disagree, the deployments are
 correlated in a way the coupled-homogeneous model cannot express.
+
+Only the co-location merge needs SciPy (a KD-tree and connected
+components); it imports it when it runs, so importing this module loads
+NumPy alone.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .core import ConfigError, DataError, OperatorSet
 from .geometry import Deployment
@@ -73,6 +74,11 @@ def merge_colocated(dep: Deployment, eps_m: float = DEFAULT_MERGE_EPS_M) -> Depl
     if eps_m == 0:
         _, labels = np.unique(dep.xy, axis=0, return_inverse=True)
     else:
+        # imported here: loading SciPy takes longer than most CLI commands run
+        from scipy import sparse
+        from scipy.sparse.csgraph import connected_components
+        from scipy.spatial import cKDTree
+
         pairs = cKDTree(dep.xy).query_pairs(eps_m, output_type="ndarray")
         if pairs.size:
             adj = sparse.coo_matrix(

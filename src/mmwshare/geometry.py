@@ -4,6 +4,8 @@ Deployments hold realized site positions plus each site's occupant set.
 Sampling functions are pure in (inputs, seed): the same seed always
 reproduces the same realization, and distinct blocks/replications use
 explicitly spawned RNG streams so parallel use is order-independent.
+Only ``clustered_thinning`` needs SciPy (a KD-tree); it imports it when it
+runs, so importing this module loads NumPy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import BlockModel, ConfigError, DataError, OperatorSet, TwoOpSpec, Window
 
@@ -251,6 +252,9 @@ def clustered_thinning(dep: Deployment, parent_density: float, keep_radius: floa
     if n_centers == 0 or dep.n_sites == 0:
         return dep.keep(np.zeros(dep.n_sites, dtype=bool))
     centers = _uniform_in_window(rng, dep.window, n_centers)
+    # imported here: loading SciPy takes longer than most CLI commands run
+    from scipy.spatial import cKDTree
+
     dist, _ = cKDTree(centers).query(dep.xy, k=1)
     return dep.keep(dist <= keep_radius)
 

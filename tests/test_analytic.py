@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import mmwshare as mw
-from mmwshare import ConfigError, DataError, NumericalError
+from mmwshare import ConfigError, DataError, NumericalError, analytic
 from mmwshare.analytic import (
+    _brentq,
     adaptive_gk21,
     association_pdf,
     nlos_measure,
@@ -49,6 +50,16 @@ def test_nlos_measure_matches_quadrature():
 def test_measures_complement_to_disk_mean(lam, beta, r):
     total = mw.los_measure(lam, beta, r) + nlos_measure(lam, beta, r)
     assert total == pytest.approx(math.pi * lam * r * r, rel=1e-12)
+
+
+def test_los_measure_matches_scipy_gammainc():
+    from scipy import special
+
+    lam, beta = 30.0 / KM2, 0.007
+    x = np.logspace(-10, 3, 4001)  # beta * r, across the series/closed-form switch at 1
+    want = (2 * np.pi * lam / beta**2) * special.gammainc(2.0, x)
+    np.testing.assert_allclose(mw.los_measure(lam, beta, x / beta), want, rtol=1e-13, atol=0)
+    assert mw.los_measure(lam, beta, np.inf) == 2 * np.pi * lam / beta**2
 
 
 def test_measures_vectorize_and_validate():
@@ -445,3 +456,49 @@ def test_median_rate_halves_the_rate_ccdf():
     med = mw.median_rate(spec, P, rtol=1e-4)
     at_median = mw.rate_coverage(spec, P, [med])
     assert at_median.probabilities[0] == pytest.approx(0.5, abs=5e-4)
+
+
+# ---------------------------------------------------------------------------
+# Root finding: a port of SciPy's brentq, with SciPy as the oracle
+
+
+@pytest.fixture
+def brentq_pairs(monkeypatch):
+    """Runs every _brentq call twice, as ported and through SciPy; records xtol and both roots."""
+    from scipy import optimize
+
+    pairs = []
+
+    def both(f, a, b, xtol, rtol=analytic._BRENT_RTOL, maxiter=100):
+        got = _brentq(f, a, b, xtol, rtol, maxiter)
+        pairs.append((xtol, got, optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
+        return got
+
+    monkeypatch.setattr(analytic, "_brentq", both)
+    return pairs
+
+
+def test_truncation_radius_root_is_bitwise_scipy_brentq(brentq_pairs):
+    for params in mw.PRESETS.values():
+        for lam in np.logspace(-7, -2, 60):
+            for tail in (1e-8, 1e-6, 1e-3):
+                truncation_radius(float(lam), params, tail)
+    assert len(brentq_pairs) >= 100
+    assert all(got.hex() == want.hex() for _, got, want in brentq_pairs)
+
+
+def test_median_rate_root_is_bitwise_scipy_brentq(brentq_pairs):
+    for rho in (0.0, 0.4, 1.0):
+        mw.median_rate(mw.fid_scenario(30.0 / KM2, rho), P)
+    # xtol = 1 bps marks the median roots; the rest are truncation radii within them
+    assert sum(xtol == 1.0 for xtol, _, _ in brentq_pairs) == 3
+    assert all(got.hex() == want.hex() for _, got, want in brentq_pairs)
+
+
+def test_brentq_failures_are_numerical_errors():
+    with pytest.raises(NumericalError, match="same sign"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(NumericalError, match="NaN"):  # f(0.5), the first interpolated step
+        _brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, xtol=1e-12)
+    with pytest.raises(NumericalError, match="did not converge"):
+        _brentq(lambda x: math.exp(x) - 2.0, 0.0, 1.0, xtol=1e-300, maxiter=2)

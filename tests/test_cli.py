@@ -1,6 +1,11 @@
 """Command-line interface: parsers, exit codes, output files."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +23,22 @@ def test_parse_grid_inclusive_endpoint():
     assert parse_grid("0:0.4:1", "sinr").tolist() == pytest.approx([0.0, 0.4, 0.8])
     assert parse_grid("-10:10:30", "sinr").tolist() == [-10.0, 0.0, 10.0, 20.0, 30.0]
     assert parse_grid("5:1:5", "sinr").tolist() == [5.0]
+    assert parse_grid("1:1:10000", "sinr").size == 10000  # at the point cap
 
 
 def test_parse_grid_rejects_malformed():
-    for text in ("1:2", "a:b:c", "0:-1:5", "5:1:0", "1:0:2"):
+    for text in ("1:2", "a:b:c", "0:-1:5", "5:1:0", "1:0:2", "nan:1:5", "0:nan:5",
+                 "0:1:inf", "-inf:1:0", "0:1e-9:500", "0:1:10000", "-1e308:1e-300:1e308"):
         with pytest.raises(ConfigError):
             parse_grid(text, "sinr")
+
+
+def test_malformed_grids_exit_2_before_any_work(tmp_path):
+    assert main(["analyze", "--fid", "0.4", "--sinr", "nan:1:5",
+                 "--out", str(tmp_path / "an")]) == 2
+    assert main(["simulate", "--fid", "0.4", "--reps", "10", "--rates", "0:1e-9:500",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert not (tmp_path / "an").exists() and not (tmp_path / "sim").exists()
 
 
 def test_parse_bins_and_rhos():
@@ -211,3 +226,36 @@ def test_unknown_flag_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--fid", "0.4", "--sirn", "0:1:1", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_commands_other_than_estimate_do_not_load_scipy(tmp_path):
+    # SciPy takes longer to import than these commands run; a fresh
+    # interpreter shows what the package itself pulls in.
+    script = textwrap.dedent(f"""
+        import sys
+        import mmwshare as mw
+        from mmwshare.cli import main
+
+        out = {str(tmp_path)!r}
+        dep = mw.couple_two_operators(mw.fid_scenario(40e-6, 0.5), mw.Window.square(1000.0), 1)
+        mw.write_deployment_csv(dep, out + "/sites.csv")
+        runs = [
+            ["analyze", "--fid", "0.4", "--sinr", "0:10:10", "--rates", "100:100:200",
+             "--median"],
+            ["simulate", "--fid", "0.4", "--reps", "50", "--sinr", "0:10:10",
+             "--rates", "100:100:200"],
+            ["compare", "--rhos", "1", "--reps", "20", "--rates", "100:100:200"],
+            ["press", "--deployment", out + "/sites.csv", "--target-density", "30"],
+        ]
+        for i, argv in enumerate(runs):
+            assert main(argv + ["--out", out + f"/o{{i}}"]) == 0, argv
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """)
+    env = dict(os.environ)
+    pkg_root = str(Path(mw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -188,6 +188,22 @@ def test_params_from_dict_overrides_on_base():
     assert p100.tx_power_w == P.tx_power_w
 
 
+def test_load_params_file_overlays_on_base(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"tx_power_dbm": 30.0}')
+    half = mw.params_from_dict({"bandwidth_mhz": 100.0}, base=P)
+    got = mw.load_params_file(path, base=half)
+    assert got.bandwidth_hz == half.bandwidth_hz
+    assert got.tx_power_w == pytest.approx(1.0)
+    assert mw.load_params_file(path).bandwidth_hz == P.bandwidth_hz
+    for text in ("{not json", "[1, 2]"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="params file"):
+            mw.load_params_file(path, base=P)
+    with pytest.raises(ConfigError, match="cannot read"):
+        mw.load_params_file(tmp_path / "missing.json", base=P)
+
+
 def test_params_from_dict_rejects_unknown_key():
     with pytest.raises(ConfigError):
         mw.params_from_dict({"bandwidht_mhz": 100.0}, base=P)
