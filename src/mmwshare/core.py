@@ -595,9 +595,20 @@ def load_blocks_file(path: str | Path) -> BlockModel:
         raise ConfigError("'window_m' must be [x_min, x_max, y_min, y_max]")
     if not isinstance(dens, Mapping):
         raise ConfigError("'densities_per_km2' must map operator lists to densities")
-    window = Window(*[float(v) for v in win])
     try:
-        table = {OperatorSet.parse(k): float(v) / KM2 for k, v in dens.items()}
-    except DataError as exc:
-        raise ConfigError(f"bad block subset in {path}: {exc}") from exc
+        window = Window(*[float(v) for v in win])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"blocks file {path}: bad 'window_m' {win!r}: {exc}") from exc
+    table = {}
+    for k, v in dens.items():
+        try:
+            subset = OperatorSet.parse(k)
+        except DataError as exc:
+            raise ConfigError(f"bad block subset in {path}: {exc}") from exc
+        try:
+            table[subset] = float(v) / KM2
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"blocks file {path}: density of block {k!r} must be a number, got {v!r}"
+            ) from exc
     return BlockModel(window, table)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -274,15 +276,31 @@ def write_deployment_csv(dep: Deployment, path: str | Path) -> None:
     """
     path = Path(path)
     w = dep.window
+    occupants = dep.occupants.tolist()
+    ops = {b: OperatorSet(b).to_text() for b in set(occupants)}
     with path.open("w", newline="") as fh:
         fh.write(
             f"{_WINDOW_COMMENT},{float(w.x_min)!r},{float(w.x_max)!r},"
             f"{float(w.y_min)!r},{float(w.y_max)!r}\n"
         )
         fh.write(",".join(CSV_HEADER) + "\n")
-        for i in range(dep.n_sites):
-            ops = OperatorSet(int(dep.occupants[i])).to_text()
-            fh.write(f"{i},{float(dep.xy[i, 0])!r},{float(dep.xy[i, 1])!r},{ops}\n")
+        fh.writelines(
+            f"{i},{x!r},{y!r},{ops[b]}\n"
+            for i, ((x, y), b) in enumerate(zip(dep.xy.tolist(), occupants))
+        )
+
+
+def _read_window_comment(path: Path, line: str) -> Window:
+    parts = line.rstrip("\r\n").split(",")
+    if len(parts) != 5:
+        raise DataError(f"{path}: malformed window comment line")
+    try:
+        bounds = [float(p) for p in parts[1:]]
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"bounds must be finite, got {bounds}")
+        return Window(*bounds)
+    except ValueError as exc:  # also the ConfigError of an empty window
+        raise DataError(f"{path}: bad window comment: {exc}") from exc
 
 
 def read_deployment_csv(path: str | Path, window: Window | None = None) -> Deployment:
@@ -290,53 +308,65 @@ def read_deployment_csv(path: str | Path, window: Window | None = None) -> Deplo
 
     Window resolution order: explicit argument, the optional window
     comment line, else the sites' bounding box (padded to positive area).
+    Blank rows are skipped and do not count in the row numbers of errors.
+    The file is read in one pass, and each distinct operator text is
+    parsed once.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        fh = path.open(newline="")
     except OSError as exc:
         raise DataError(f"cannot read deployment file {path}: {exc}") from exc
-    lines = text.splitlines()
-    file_window = None
-    if lines and lines[0].startswith(_WINDOW_COMMENT):
-        parts = lines[0].split(",")
-        if len(parts) != 5:
-            raise DataError(f"{path}: malformed window comment line")
-        try:
-            file_window = Window(*[float(p) for p in parts[1:]])
-        except (ValueError, ConfigError) as exc:
-            raise DataError(f"{path}: bad window comment: {exc}") from exc
-        lines = lines[1:]
-    rows = list(csv.reader(lines))
-    rows = [r for r in rows if r and any(f.strip() for f in r)]
-    if not rows:
-        raise DataError(f"{path}: empty file (missing header)")
-    if tuple(f.strip() for f in rows[0]) != CSV_HEADER:
-        raise DataError(
-            f"{path}: expected header {','.join(CSV_HEADER)!r}, got {','.join(rows[0])!r}"
-        )
-    xs, ys, occ = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-        try:
-            xs.append(float(row[1]))
-            ys.append(float(row[2]))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-        try:
-            occ.append(OperatorSet.parse(row[3]).bits)
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    xy = np.column_stack([xs, ys]) if xs else np.empty((0, 2))
+    xy = array("d")
+    occ = array("H")
+    bits_of: dict[str, int] = {}
+    with fh:
+        first = fh.readline()
+        file_window = None
+        if first.startswith(_WINDOW_COMMENT):
+            file_window = _read_window_comment(path, first)
+            first = ""
+        rows = csv.reader(chain((first,), fh))
+        header = next((r for r in rows if "".join(r).strip()), None)
+        if header is None:
+            raise DataError(f"{path}: empty file (missing header)")
+        if tuple(f.strip() for f in header) != CSV_HEADER:
+            raise DataError(
+                f"{path}: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+            )
+        lineno = 1
+        for row in rows:
+            if not "".join(row).strip():
+                continue
+            lineno += 1
+            if len(row) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+            try:
+                x = float(row[1])
+                y = float(row[2])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DataError(f"{path}:{lineno}: bad coordinate: ({x}, {y}) is not finite")
+            text = row[3]
+            bits = bits_of.get(text)
+            if bits is None:
+                try:
+                    bits = bits_of[text] = OperatorSet.parse(text).bits
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
+            xy.append(x)
+            xy.append(y)
+            occ.append(bits)
+    xy = np.frombuffer(xy, dtype=np.float64).reshape(-1, 2)
     if window is None:
         window = file_window
     if window is None:
-        if not xs:
+        if not occ:
             raise DataError(f"{path}: empty deployment with no window metadata")
         window = _bounding_window(xy)
     try:
-        return Deployment(window, xy, np.asarray(occ, dtype=np.uint16))
+        return Deployment(window, xy, np.frombuffer(occ, dtype=np.uint16))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

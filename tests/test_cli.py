@@ -194,6 +194,45 @@ def test_estimate_merges_near_duplicate_sites(tmp_path):
     assert "sites_total: 3" in (out / "overlap_report.txt").read_text()
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("inf_x.csv",
+     "site_id,x_m,y_m,operators\n0,100.0,100.0,1\n1,inf,200.0,1;2\n2,300.0,250.0,2\n",
+     "inf_x.csv:3: bad coordinate"),
+    ("nan_x.csv",
+     "site_id,x_m,y_m,operators\n0,100.0,100.0,1\n1,nan,200.0,1;2\n2,300.0,250.0,2\n",
+     "nan_x.csv:3: bad coordinate"),
+    ("inf_window.csv",
+     "# window_m,0.0,inf,0.0,1000.0\nsite_id,x_m,y_m,operators\n"
+     "0,100.0,100.0,1\n1,150.0,200.0,1;2\n2,300.0,250.0,2\n",
+     "inf_window.csv: bad window comment"),
+], ids=["inf-x", "nan-x", "inf-window"])
+def test_estimate_non_finite_site_data_is_data_error(tmp_path, capsys, name, text, message):
+    csv_path = tmp_path / name
+    csv_path.write_text(text)
+    code = main(["estimate", "--deployment", str(csv_path), "--bins", "4",
+                 "--out", str(tmp_path / "est")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window, densities, message", [
+    (["a", 1000, 0, 1000], {"1": 10.0}, "bad 'window_m'"),
+    ([0, 1000, None, 1000], {"1": 10.0}, "bad 'window_m'"),
+    ([0, 1000, 0, 1000], {"1": "x"}, "density of block '1' must be a number"),
+    ([0, 1000, 0, 1000], {"1": 5.0, "1;2": None}, "density of block '1;2' must be a number"),
+], ids=["window-text", "window-null", "density-text", "density-null"])
+def test_malformed_blocks_file_is_config_error(tmp_path, capsys, window, densities, message):
+    blocks = tmp_path / "bad_blocks.json"
+    blocks.write_text(json.dumps({"window_m": window, "densities_per_km2": densities}))
+    with pytest.raises(ConfigError, match="bad_blocks.json"):
+        mw.load_blocks_file(blocks)
+    code = main(["analyze", "--blocks", str(blocks), "--sinr", "0:10:10",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad_blocks.json" in err and message in err
+
+
 def test_press_rescales_to_target(tmp_path):
     win = mw.Window.square(2000.0)
     dep = mw.couple_two_operators(mw.fid_scenario(40.0 / KM2, 0.5), win, seed=9)

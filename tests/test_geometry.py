@@ -175,3 +175,88 @@ def test_read_csv_rejects_garbage(tmp_path):
     empty.write_text("")
     with pytest.raises(DataError):
         mw.read_deployment_csv(empty)
+
+
+def test_read_csv_skips_blank_rows_and_keeps_row_numbers(tmp_path):
+    body = (
+        "# window_m,0.0,1000.0,0.0,1000.0\n"
+        "\n"
+        "site_id,x_m,y_m,operators\n"
+        "   \n"
+        "0,1.0,2.0,1\n"
+        ",,,\n"
+        "\n"
+        "1,3.0,4.0,2\n"
+    )
+    path = tmp_path / "blanks.csv"
+    path.write_text(body)
+    dep = mw.read_deployment_csv(path)
+    assert dep.xy.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert dep.occupants.tolist() == [1, 2]
+    # row numbers count the header and the non-blank rows after the window line
+    path.write_text(body + " , \n1,5.0,bad,2\n")
+    with pytest.raises(DataError, match=r"blanks\.csv:4: bad coordinate"):
+        mw.read_deployment_csv(path)
+    path.write_text(body + "\t\n2,5.0,6.0\n")
+    with pytest.raises(DataError, match=r"blanks\.csv:4: expected 4 columns, got 3"):
+        mw.read_deployment_csv(path)
+
+
+def test_read_csv_with_crlf_line_endings(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(
+        b"# window_m,0.0,1000.0,0.0,500.0\r\n"
+        b"site_id,x_m,y_m,operators\r\n"
+        b"0,100.5,200.25,1;2\r\n"
+        b"\r\n"
+        b"1,300.0,250.0,2\r\n"
+    )
+    dep = mw.read_deployment_csv(path)
+    assert dep.window == mw.Window(0.0, 1000.0, 0.0, 500.0)
+    assert dep.xy.tolist() == [[100.5, 200.25], [300.0, 250.0]]
+    assert dep.occupants.tolist() == [3, 2]
+
+
+def test_read_csv_operator_texts_with_spaces_and_order(tmp_path):
+    path = tmp_path / "ops.csv"
+    path.write_text(
+        "site_id,x_m,y_m,operators\n"
+        "0,1.0,1.0, 1;2 \n"
+        "1,2.0,2.0,2;1\n"
+        "2,3.0,3.0,1;2\n"
+    )
+    assert mw.read_deployment_csv(path).occupants.tolist() == [3, 3, 3]
+
+
+def test_read_csv_reports_late_bad_operator_with_its_row(tmp_path):
+    path = tmp_path / "late.csv"
+    good = "".join(f"{i},{i % 97}.5,{i % 89}.25,{1 + i % 2}\n" for i in range(5000))
+    path.write_text("site_id,x_m,y_m,operators\n" + good + "5000,1.0,1.0,1;x\n")
+    with pytest.raises(DataError, match=r"late\.csv:5002: bad operator list '1;x'"):
+        mw.read_deployment_csv(path)
+
+
+def test_read_csv_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "nf.csv"
+    for value in ("inf", "-inf", "nan"):
+        path.write_text(f"site_id,x_m,y_m,operators\n0,1.0,2.0,1\n1,3.0,{value},2\n")
+        with pytest.raises(DataError, match=r"nf\.csv:3: bad coordinate: .* is not finite"):
+            mw.read_deployment_csv(path)
+        path.write_text(f"# window_m,0.0,{value},0.0,10.0\nsite_id,x_m,y_m,operators\n")
+        with pytest.raises(DataError, match="bad window comment: bounds must be finite"):
+            mw.read_deployment_csv(path)
+
+
+def test_csv_write_read_write_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(3)
+    xy = rng.uniform(0.0, 5000.0, size=(30, 2))
+    xy[0] = (0.1 + 0.2, 1000.0 / 3.0)  # repr needs 17 significant digits
+    occ = np.array([1, 2, 3] * 10, dtype=np.uint16)
+    dep = mw.Deployment(WIN, xy, occ)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    mw.write_deployment_csv(dep, first)
+    back = mw.read_deployment_csv(first)
+    assert np.array_equal(back.xy, xy) and np.array_equal(back.occupants, occ)
+    mw.write_deployment_csv(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert "0.30000000000000004,333.3333333333333,1\n" in first.read_text()
