@@ -43,6 +43,7 @@ from .core import (
     SystemParams,
     TwoOpSpec,
     load_factor,
+    pool_size,
     rate_sinr_threshold,
 )
 
@@ -790,7 +791,7 @@ def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
                   home_operator=home_operator, include_interference=include_interference,
                   r_max=truncation_radius(lam_home, params, tail_mass), epsabs=epsabs,
                   epsrel=epsrel, outer_epsabs=outer_epsabs, outer_epsrel=outer_epsrel)
-    chunks = np.array_split(thresholds_lin, min(max(workers, 1), thresholds_lin.size))
+    chunks = np.array_split(thresholds_lin, pool_size(workers, thresholds_lin.size))
     if len(chunks) == 1:
         return run(thresholds_lin)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

@@ -47,15 +47,6 @@ def path_loss(link: LinkType, r, params: SystemParams):
     return out if out.ndim else float(out)
 
 
-def _path_gain(params: SystemParams, r: np.ndarray, los: np.ndarray) -> np.ndarray:
-    # hot-path variant: per-site link types, no validation
-    return np.where(
-        los,
-        params.c_los * r ** (-params.alpha_los),
-        params.c_nlos * r ** (-params.alpha_nlos),
-    )
-
-
 def gain_pmf(params: SystemParams) -> tuple[tuple[float, float], tuple[float, float]]:
     """Exact PMF of an interferer's beam gain: ((G, p_main), (g, 1 - p_main))."""
     p = params.main_lobe_prob
@@ -84,7 +75,7 @@ def sample_fading(spec: FadingSpec, link: LinkType, rng: np.random.Generator,
 def _sample_fading_mask(spec: FadingSpec, los: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = los.shape[0]
     if spec.kind == "rayleigh":
-        return rng.exponential(1.0, n)
+        return rng.standard_exponential(n)
     m = np.where(los, spec.nakagami_m_los, spec.nakagami_m_nlos)
     sigma = np.where(los, spec.shadow_sigma_db_los, spec.shadow_sigma_db_nlos)
     small_scale = rng.gamma(m, 1.0 / m)
@@ -102,15 +93,45 @@ class Association:
     co_located: bool
 
 
-def _interference_expansion(occupants: np.ndarray, serving_index: int) -> np.ndarray:
-    """Site index of every interfering BS, one entry per (site, operator).
+def sinr_batch(d: np.ndarray, los: np.ndarray, occupants: np.ndarray, starts: np.ndarray,
+               home_operator: int, params: SystemParams, rng: np.random.Generator,
+               include_interference: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """SINR of every segment of a batch of labeled deployments.
 
-    Each site contributes as many terms as it has occupants; the serving
-    site contributes one fewer (its aligned home-operator BS).
+    Segment i holds sites starts[i] up to the next start (the last runs to
+    the end): their distances d (> 0) to that segment's user, LOS labels
+    and occupant bitmasks.  Every segment needs a home-operator site.
+    Each segment is associated as in sinr_at_user; the draws are
+    batch-wide: every serving fade, then every interferer fade, then
+    every interferer gain.  Returns (sinr, serving site index) per segment.
     """
-    counts = np.bitwise_count(occupants).astype(np.int64)
-    counts[serving_index] -= 1
-    return np.repeat(np.arange(occupants.shape[0]), counts)
+    # ~0.3% of sites are LOS: the NLOS gain everywhere, then patch LOS sites
+    ell = params.c_nlos * d ** (-params.alpha_nlos)
+    li = np.flatnonzero(los)
+    ell[li] = params.c_los * d[li] ** (-params.alpha_los)
+
+    home = np.where(occupants & np.uint16(1 << (home_operator - 1)), ell, -np.inf)
+    best = np.maximum.reduceat(home, starts)
+    hits = np.flatnonzero(home == np.repeat(best, np.diff(starts, append=d.size)))
+    serving = hits[np.searchsorted(hits, starts)]  # ties: lowest site id
+
+    signal = ell[serving] * _sample_fading_mask(params.fading, los[serving], rng) * params.gain_main
+    if not include_interference:
+        return signal / params.sigma2, serving
+    # one term per (site, occupant), less the serving site's aligned home BS
+    counts = np.bitwise_count(occupants)
+    counts[serving] -= 1
+    terms = np.repeat(ell, counts)
+    terms *= _sample_fading_mask(params.fading, np.repeat(los, counts), rng)
+    terms *= sample_gain(params, rng, terms.size)
+    if starts.size == 1:  # np.sum's pairwise rounding, as sinr_at_user always had
+        interference = np.sum(terms, keepdims=True)
+    else:
+        n_terms = np.add.reduceat(counts, starts, dtype=np.int64)
+        busy = n_terms > 0
+        interference = np.zeros(starts.size)
+        interference[busy] = np.add.reduceat(terms, (np.cumsum(n_terms) - n_terms)[busy])
+    return signal / (params.sigma2 + interference), serving
 
 
 def sinr_at_user(dep: Deployment, user: tuple[float, float], home_operator: int,
@@ -120,36 +141,22 @@ def sinr_at_user(dep: Deployment, user: tuple[float, float], home_operator: int,
 
     Draw order (fixed for reproducibility): serving fade, interferer
     fades, interferer gains.  Fading model comes from params.fading.
+    This is sinr_batch on a single segment.
     """
     if dep.link_los is None:
         raise ConfigError("deployment lacks LOS labels; call thin_blockage first")
     los = np.asarray(dep.link_los, dtype=bool)
     d = np.hypot(dep.xy[:, 0] - user[0], dep.xy[:, 1] - user[1])
     d = np.maximum(d, 1e-3)  # coincident-site guard
-    ell = _path_gain(params, d, los)
-
-    home = dep.operator_mask(home_operator)
-    if not home.any():
+    if not dep.operator_mask(home_operator).any():
         raise HomeOperatorAbsent(f"operator {home_operator} has no site in the deployment")
-    home_idx = np.flatnonzero(home)
-    serving = int(home_idx[np.argmax(ell[home_idx])])  # ties: lowest site id
-
-    link = LinkType.LOS if los[serving] else LinkType.NLOS
-    h_serv = float(_sample_fading_mask(params.fading, los[serving:serving + 1], rng)[0])
-    signal = ell[serving] * h_serv * params.gain_main
-
-    interference = 0.0
-    if include_interference:
-        idx = _interference_expansion(dep.occupants, serving)
-        if idx.size:
-            fades = _sample_fading_mask(params.fading, los[idx], rng)
-            gains = sample_gain(params, rng, idx.size)
-            interference = float(np.sum(ell[idx] * fades * gains))
-
+    sinr, serving = sinr_batch(d, los, dep.occupants, np.zeros(1, dtype=np.int64),
+                               home_operator, params, rng, include_interference)
+    s = int(serving[0])
     assoc = Association(
-        site_index=serving,
-        link=link,
-        distance=float(d[serving]),
-        co_located=int(np.bitwise_count(dep.occupants[serving])) > 1,
+        site_index=s,
+        link=LinkType.LOS if los[s] else LinkType.NLOS,
+        distance=float(d[s]),
+        co_located=int(np.bitwise_count(dep.occupants[s])) > 1,
     )
-    return float(signal / (params.sigma2 + interference)), assoc
+    return float(sinr[0]), assoc

@@ -203,7 +203,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--window-km does not apply to a fixed deployment")
     grid = parse_grid(args.sinr or DEFAULT_SINR_GRID, "sinr")
     rates = parse_grid(args.rates, "rates") * 1e6 if args.rates else None
-    out = _out_dir(args)
     half = args.window_km * 1000.0 / 2.0 if args.window_km is not None else None
     plan = montecarlo.SimPlan(
         replications=args.reps,
@@ -212,6 +211,7 @@ def cmd_simulate(args) -> int:
         half_width_m=half,
         workers=args.threads,
     )
+    out = _out_dir(args)
     result = montecarlo.run_simulation(scenario, params, plan)
     result.curve.to_csv(out / "sinr_empirical.csv")
     print(f"wrote {out / 'sinr_empirical.csv'}")
@@ -284,7 +284,6 @@ def cmd_press(args) -> int:
 
 def cmd_compare(args) -> int:
     params = _load_params(args)
-    out = _out_dir(args)
     rhos = parse_rhos(args.rhos) if args.rhos else (0.0, 0.4, 1.0)
     lam0_km2 = args.lambda0 if args.lambda0 is not None else DEFAULT_LAMBDA0_PER_KM2
     lam0 = lam0_km2 / KM2
@@ -298,16 +297,14 @@ def cmd_compare(args) -> int:
     single = TwoOpSpec(lam0, 1.0, 1.0)  # operator 1 alone at density lam0
     runs.append((f"single_{half_b.bandwidth_hz / 1e6:g}mhz", single, half_b))
     runs.append((f"single_{params.bandwidth_hz / 1e6:g}mhz", single, params))
+    plans = [montecarlo.SimPlan(replications=args.reps, seed=(args.seed, i), workers=args.threads)
+             for i in range(len(runs))]
+    out = _out_dir(args)
 
     curves: dict[str, analytic.CoverageCurve] = {}
     medians: dict[str, float] = {}
     reports: list[str] = []
-    for i, (label, scenario, run_params) in enumerate(runs):
-        plan = montecarlo.SimPlan(
-            replications=args.reps,
-            seed=(args.seed, i),
-            workers=args.threads,
-        )
+    for (label, scenario, run_params), plan in zip(runs, plans):
         result = montecarlo.run_simulation(scenario, run_params, plan)
         lam_op = _operator_density(scenario, 1)
         curves[label] = montecarlo.rate_curve_from_samples(result.sinr, rates, run_params, lam_op)

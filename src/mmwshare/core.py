@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -35,6 +36,11 @@ class DataError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or to bracket its target."""
+
+
+def pool_size(workers: int, chunks: int) -> int:
+    """Worker processes to start: at most one per chunk of work and per CPU."""
+    return max(1, min(workers, chunks, os.cpu_count() or 1))
 
 
 def db_to_linear(x_db: float) -> float:

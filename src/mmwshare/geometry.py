@@ -314,50 +314,16 @@ def read_deployment_csv(path: str | Path, window: Window | None = None) -> Deplo
     """
     path = Path(path)
     try:
-        fh = path.open(newline="")
+        fh = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read deployment file {path}: {exc}") from exc
-    xy = array("d")
-    occ = array("H")
-    bits_of: dict[str, int] = {}
-    with fh:
-        first = fh.readline()
-        file_window = None
-        if first.startswith(_WINDOW_COMMENT):
-            file_window = _read_window_comment(path, first)
-            first = ""
-        rows = csv.reader(chain((first,), fh))
-        header = next((r for r in rows if "".join(r).strip()), None)
-        if header is None:
-            raise DataError(f"{path}: empty file (missing header)")
-        if tuple(f.strip() for f in header) != CSV_HEADER:
-            raise DataError(
-                f"{path}: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
-            )
-        lineno = 1
-        for row in rows:
-            if not "".join(row).strip():
-                continue
-            lineno += 1
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            try:
-                x = float(row[1])
-                y = float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DataError(f"{path}:{lineno}: bad coordinate: ({x}, {y}) is not finite")
-            text = row[3]
-            bits = bits_of.get(text)
-            if bits is None:
-                try:
-                    bits = bits_of[text] = OperatorSet.parse(text).bits
-                except DataError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-            xy.append(x)
-            xy.append(y)
-            occ.append(bits)
+    try:
+        with fh:
+            xy, occ, file_window = _read_rows(path, fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: line {_first_undecodable_line(path)}: not UTF-8 text ({exc.reason})"
+        ) from exc
     xy = np.frombuffer(xy, dtype=np.float64).reshape(-1, 2)
     if window is None:
         window = file_window
@@ -369,6 +335,62 @@ def read_deployment_csv(path: str | Path, window: Window | None = None) -> Deplo
         return Deployment(window, xy, np.frombuffer(occ, dtype=np.uint16))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _first_undecodable_line(path: Path) -> int:
+    """1-based number of the first line that is not UTF-8 (0 if none is)."""
+    with path.open("rb") as fh:
+        for n, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return n
+    return 0
+
+
+def _read_rows(path: Path, fh) -> tuple[array, array, Window | None]:
+    """Coordinates, occupant bitmasks and the window comment of an open site file."""
+    xy = array("d")
+    occ = array("H")
+    bits_of: dict[str, int] = {}
+    first = fh.readline()
+    file_window = None
+    if first.startswith(_WINDOW_COMMENT):
+        file_window = _read_window_comment(path, first)
+        first = ""
+    rows = csv.reader(chain((first,), fh))
+    header = next((r for r in rows if "".join(r).strip()), None)
+    if header is None:
+        raise DataError(f"{path}: empty file (missing header)")
+    if tuple(f.strip() for f in header) != CSV_HEADER:
+        raise DataError(
+            f"{path}: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+        )
+    lineno = 1
+    for row in rows:
+        if not "".join(row).strip():
+            continue
+        lineno += 1
+        if len(row) != 4:
+            raise DataError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        try:
+            x = float(row[1])
+            y = float(row[2])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DataError(f"{path}:{lineno}: bad coordinate: ({x}, {y}) is not finite")
+        text = row[3]
+        bits = bits_of.get(text)
+        if bits is None:
+            try:
+                bits = bits_of[text] = OperatorSet.parse(text).bits
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+        xy.append(x)
+        xy.append(y)
+        occ.append(bits)
+    return xy, occ, file_window
 
 
 def _bounding_window(xy: np.ndarray, pad: float = 1.0) -> Window:

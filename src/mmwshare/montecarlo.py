@@ -3,9 +3,10 @@
 Each replication draws fresh network geometry (for point-process
 scenarios), blockage labels, fades and interferer beam gains, then
 records the downlink SINR of a user served by the strongest home-network
-site.  Replications use independently spawned random streams, so results
-are reproducible bit-for-bit for a given seed regardless of worker
-count.
+site.  Replications run in fixed batches whose size depends on the
+scenario alone, and batch k draws from its own stream, the k-th child of
+the seed's SeedSequence.  Samples are therefore reproducible bit-for-bit
+for a given seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .analytic import CoverageCurve, truncation_radius
-from .channel import _sample_fading_mask
+from .channel import sinr_batch
 from .core import (
     BlockModel,
     ConfigError,
@@ -30,6 +32,7 @@ from .core import (
     TwoOpSpec,
     Window,
     load_factor,
+    pool_size,
     rate_sinr_threshold,
 )
 from .geometry import Deployment, _guard_point_budget
@@ -38,13 +41,24 @@ _Z95 = 1.959963984540054
 
 DEFAULT_THRESHOLDS_DB = np.arange(-10.0, 30.0 + 0.5, 1.0)
 
+#: Replications beyond this would hold more samples than memory allows.
+MAX_REPLICATIONS = 10**8
+
+# Expected sites per batch; a batch holds this many over the expected sites
+# of one replication (at least 1).  2**15 ran slower: its arrays page-fault
+# afresh in every batch.
+_SITES_PER_BATCH = 2**14
+
 
 @dataclass(frozen=True)
 class SimPlan:
     """Knobs of a simulation run.
 
     seed may be an int or a tuple of ints (tuples let callers derive
-    independent streams for related runs).  half_width_m defaults to the
+    independent streams for related runs).  Replications run in fixed
+    batches, each drawing from its own child stream of the seed, so the
+    samples depend on the seed and the scenario but not on workers.
+    replications is capped at MAX_REPLICATIONS.  half_width_m defaults to the
     analytic truncation radius of the home operator; smaller values are
     rejected unless enforce_radius is cleared, since they would bias the
     tail of the serving-distance distribution.
@@ -62,8 +76,10 @@ class SimPlan:
     enforce_radius: bool = True
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ConfigError(
+                f"replications must lie in [1, {MAX_REPLICATIONS:.0e}], got {self.replications}"
+            )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.max_attempts < 1:
@@ -109,95 +125,79 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# Per-replication sampling
+# Batched sampling
 
-def _draw_geometry(kind: str, payload, window: Window, rng: np.random.Generator):
-    """Returns (xy (n,2), occupants (n,) uint16) for one replication."""
-    if kind == "fixed":
-        return payload
-    area = window.area()
-    if kind == "blocks":
-        xs, occs = [], []
-        for bits, lam in payload:
-            n = rng.poisson(lam * area)
-            pts = np.empty((n, 2))
-            pts[:, 0] = window.x_min + (window.x_max - window.x_min) * rng.random(n)
-            pts[:, 1] = window.y_min + (window.y_max - window.y_min) * rng.random(n)
-            xs.append(pts)
-            occs.append(np.full(n, bits, dtype=np.uint16))
-        return np.concatenate(xs, axis=0), np.concatenate(occs)
-    if kind == "two_op":
-        lam, a, b = payload
-        n = rng.poisson(lam * area)
-        pts = np.empty((n, 2))
-        pts[:, 0] = window.x_min + (window.x_max - window.x_min) * rng.random(n)
-        pts[:, 1] = window.y_min + (window.y_max - window.y_min) * rng.random(n)
-        marks = rng.random(n)
-        occ = np.where(marks <= a, 1, 0).astype(np.uint16)
-        occ |= np.where(marks > b, 2, 0).astype(np.uint16)
-        keep = occ != 0
-        return pts[keep], occ[keep]
-    raise ConfigError(f"unknown scenario kind {kind!r}")
+def _draw_batch(scenario, user, n: int, beta: float, home_operator: int, max_attempts: int,
+                rng: np.random.Generator):
+    """Sites of n replications, concatenated per replication.
 
-
-def _rep_sinr(d: np.ndarray, los: np.ndarray, occ: np.ndarray, home_mask: np.ndarray,
-              params: SystemParams, include_interference: bool,
-              rng: np.random.Generator) -> float:
-    """SINR of one replication; draw order matches channel.sinr_at_user."""
-    with np.errstate(divide="ignore"):
-        pg = np.where(
-            los,
-            params.c_los * d ** (-params.alpha_los),
-            params.c_nlos * d ** (-params.alpha_nlos),
-        )
-    cand = np.flatnonzero(home_mask)
-    serv = int(cand[np.argmax(pg[cand])])
-    fading = params.fading
-    serv_fade = float(_sample_fading_mask(fading, los[serv : serv + 1], rng)[0])
-    signal = pg[serv] * serv_fade * params.gain_main
-    if not include_interference:
-        return float(signal / params.sigma2)
-    counts = np.bitwise_count(occ).astype(np.int64)
-    counts[serv] -= 1
-    idx = np.repeat(np.arange(occ.size), counts)
-    fades = _sample_fading_mask(fading, los[idx], rng)
-    gains = np.where(
-        rng.random(idx.size) < params.main_lobe_prob, params.gain_main, params.gain_side
-    )
-    interference = float(np.sum(pg[idx] * fades * gains))
-    return float(signal / (params.sigma2 + interference))
-
-
-def _run_chunk(kind, payload, window: Window, user, params: SystemParams,
-               home_operator: int, include_interference: bool, max_attempts: int,
-               children) -> tuple[np.ndarray, int]:
-    home_bit = np.uint16(1 << (home_operator - 1))
-    ux, uy = user
-    beta = params.beta_per_m
-    out = np.empty(len(children))
+    Returns (distance to the user, LOS labels, occupants, segment starts,
+    redraws).  A BlockModel draws every block count of the batch in one
+    call; each replication without a home site redraws its counts, in
+    replication order, until it has one.  A Deployment is tiled n times.
+    """
     redraws = 0
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        for attempt in range(max_attempts):
-            xy, occ = _draw_geometry(kind, payload, window, rng)
-            home_mask = (occ & home_bit) != 0
-            if home_mask.any():
+    if isinstance(scenario, Deployment):
+        occ = np.tile(scenario.occupants, n)
+        sizes = np.full(n, scenario.n_sites)
+        rel = np.tile((scenario.xy - user).T, n)
+    else:
+        blocks = scenario.blocks()
+        bits = np.array([sub.bits for sub, _ in blocks], dtype=np.uint16)
+        means = np.array([lam for _, lam in blocks]) * scenario.window.area()
+        home_blocks = (bits & (1 << (home_operator - 1))) != 0
+        counts = rng.poisson(means, (n, bits.size))
+        empty = np.flatnonzero(counts[:, home_blocks].sum(axis=1) == 0)
+        for _ in range(max_attempts - 1):
+            if not empty.size:
                 break
-            redraws += 1
-        else:
+            redraws += empty.size
+            counts[empty] = rng.poisson(means, (empty.size, bits.size))
+            empty = empty[counts[empty][:, home_blocks].sum(axis=1) == 0]
+        if empty.size:
             raise NumericalError(
                 f"no home-operator site after {max_attempts} redraws; "
                 "the home density is too small for this window"
             )
-        d = np.hypot(xy[:, 0] - ux, xy[:, 1] - uy)
-        np.clip(d, 1e-3, None, out=d)
-        los = rng.random(d.size) < np.exp(-beta * d)
-        out[i] = _rep_sinr(d, los, occ, home_mask, params, include_interference, rng)
-    return out, redraws
+        occ = np.repeat(np.tile(bits, n), counts.ravel())
+        sizes = counts.sum(axis=1)
+        w = scenario.window
+        rel = rng.random((2, occ.size))  # positions relative to the user
+        rel *= [[w.x_max - w.x_min], [w.y_max - w.y_min]]
+        rel += [[w.x_min - user[0]], [w.y_min - user[1]]]
+    rel *= rel
+    d = rel[0] + rel[1]
+    np.sqrt(d, out=d)  # np.hypot is 10x slower here
+    np.maximum(d, 1e-3, out=d)
+    los = rng.random(d.size) < np.exp(d * -beta)
+    starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return d, los, occ, starts, redraws
 
 
-def _chunk_task(args):
-    return _run_chunk(*args)
+def _batch_stream(root: np.random.SeedSequence, k: int) -> np.random.Generator:
+    """Batch k's generator: root.spawn's k-th child, built without the others."""
+    child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (k,),
+                                   pool_size=root.pool_size)
+    return np.random.Generator(np.random.PCG64(child))
+
+
+def _run_batches(scenario, user, params: SystemParams, plan: SimPlan,
+                 root: np.random.SeedSequence, batch: int,
+                 ks: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """SINR samples and redraw count of batches ks[0] <= k < ks[1]."""
+    parts, redraws = [], 0
+    for k in range(*ks):
+        rng = _batch_stream(root, k)
+        n = min(batch, plan.replications - k * batch)
+        d, los, occ, starts, extra = _draw_batch(
+            scenario, user, n, params.beta_per_m, plan.home_operator, plan.max_attempts, rng
+        )
+        sinr, _ = sinr_batch(d, los, occ, starts, plan.home_operator, params, rng,
+                             plan.include_interference)
+        parts.append(sinr)
+        redraws += extra
+    return np.concatenate(parts), redraws
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +254,14 @@ def median_rate_from_samples(samples: np.ndarray, params: SystemParams,
 # Scenario resolution and the top-level driver
 
 def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
-    """Returns (kind, payload, window, user, description)."""
+    """Returns (BlockModel or Deployment, description)."""
     if isinstance(scenario, Deployment):
         home_bit = 1 << (plan.home_operator - 1)
         if not np.any(scenario.occupants & home_bit):
             raise DataError(
                 f"deployment contains no operator-{plan.home_operator} site"
             )
-        window = scenario.window
-        payload = (scenario.xy, scenario.occupants)
-        desc = f"deployment(n_sites={scenario.n_sites})"
-        return "fixed", payload, window, window.center(), desc
+        return scenario, f"deployment(n_sites={scenario.n_sites})"
     if isinstance(scenario, BlockModel):
         lam_home = scenario.operator_density(plan.home_operator)
         if lam_home <= 0:
@@ -282,11 +279,10 @@ def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
                     f"radius {r_max:.1f} m; enlarge the window"
                 )
         _guard_point_budget(scenario.total_density() * window.area())
-        payload = tuple((sub.bits, lam) for sub, lam in scenario.blocks())
         desc = "blocks(" + ", ".join(
             f"{sub.to_text()}:{lam * 1e6:.6g}/km^2" for sub, lam in scenario.blocks()
         ) + ")"
-        return "blocks", payload, window, window.center(), desc
+        return scenario, desc
     if isinstance(scenario, TwoOpSpec):
         if plan.home_operator not in (1, 2):
             raise ConfigError("two-operator scenarios have operators 1 and 2 only")
@@ -301,12 +297,12 @@ def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
             )
         window = Window.square(half)
         _guard_point_budget(scenario.lambda_total * window.area())
-        payload = (scenario.lambda_total, scenario.retain_a, scenario.retain_b)
         desc = (
             f"two-op(lambda_total={scenario.lambda_total * 1e6:.6g}/km^2, "
             f"retain_a={scenario.retain_a!r}, retain_b={scenario.retain_b!r})"
         )
-        return "two_op", payload, window, (0.0, 0.0), desc
+        # independent uniform marks split the mother PPP into independent blocks
+        return scenario.to_block_model(window), desc
     raise ConfigError(
         f"scenario must be a BlockModel, TwoOpSpec or Deployment, got {type(scenario).__name__}"
     )
@@ -316,31 +312,27 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
     """Collect per-replication SINR samples and the empirical coverage curve."""
     if plan.fading is not None:
         params = dataclasses.replace(params, fading=plan.fading)
-    kind, payload, window, user, desc = _resolve_scenario(scenario, params, plan)
+    scenario, desc = _resolve_scenario(scenario, params, plan)
+    window = scenario.window
     thresholds = (
         DEFAULT_THRESHOLDS_DB if plan.thresholds_db is None else plan.thresholds_db
     )
     seed = plan.seed if isinstance(plan.seed, (int, np.random.SeedSequence)) else tuple(plan.seed)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(plan.replications)
-    n_workers = min(plan.workers, plan.replications)
+    sites = (scenario.n_sites if isinstance(scenario, Deployment)
+             else scenario.total_density() * window.area())
+    batch = max(1, int(_SITES_PER_BATCH // max(sites, 1.0)))
+    n_batches = -(-plan.replications // batch)
+    run = partial(_run_batches, scenario, window.center(), params, plan, root, batch)
+    n_workers = pool_size(plan.workers, n_batches)
     if n_workers > 1:
-        bounds = np.linspace(0, plan.replications, n_workers + 1).astype(int)
-        tasks = [
-            (kind, payload, window, user, params, plan.home_operator,
-             plan.include_interference, plan.max_attempts, children[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        bounds = np.linspace(0, n_batches, n_workers + 1).astype(int).tolist()
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_chunk_task, tasks))
+            parts = list(pool.map(run, zip(bounds[:-1], bounds[1:])))
         samples = np.concatenate([p[0] for p in parts])
         redraws = sum(p[1] for p in parts)
     else:
-        samples, redraws = _run_chunk(
-            kind, payload, window, user, params, plan.home_operator,
-            plan.include_interference, plan.max_attempts, children,
-        )
+        samples, redraws = run((0, n_batches))
     curve = sinr_curve_from_samples(samples, thresholds)
     cx, cy = window.center()
     half = min(window.x_max - cx, window.y_max - cy)

@@ -144,3 +144,61 @@ def test_coincident_site_distance_is_clipped():
                                   include_interference=False)
     assert assoc.distance == pytest.approx(1e-3)
     assert math.isfinite(sinr)
+
+
+def _random_deployment(seed, n):
+    g = np.random.default_rng(seed)
+    occ = g.integers(1, 4, n).astype(np.uint16)
+    occ[0] |= 1
+    return _dep([(x, y, o) for (x, y), o in zip(g.uniform(-1500, 1500, (n, 2)), occ)],
+                g.random(n) < 0.2)
+
+
+@pytest.mark.parametrize("fading", [mw.RAYLEIGH, mw.NAKAGAMI_LOGNORMAL_DEFAULT],
+                         ids=["rayleigh", "nakagami"])
+def test_sinr_at_user_is_the_batch_kernel_on_one_segment(fading):
+    params = dataclasses.replace(P, fading=fading)
+    for seed in range(5):
+        dep = _random_deployment(seed, 300)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        sinr, assoc = mw.sinr_at_user(dep, (0.0, 0.0), 1, params, rng_a)
+        d = np.maximum(np.hypot(dep.xy[:, 0], dep.xy[:, 1]), 1e-3)
+        want, serving = mw.channel.sinr_batch(d, dep.link_los, dep.occupants,
+                                              np.zeros(1, dtype=np.int64), 1, params, rng_b)
+        assert sinr == want[0]  # bit for bit
+        assert assoc.site_index == serving[0]
+        assert rng_a.random() == rng_b.random()  # the same draws were consumed
+
+
+def test_batch_kernel_segments_follow_the_documented_draw_order():
+    # the middle segment is a lone home site: no interferer at all
+    deps = [_random_deployment(10, 40), _dep([(100.0, 0.0, 1)], [True]),
+            _random_deployment(12, 75)]
+    d = np.concatenate([np.maximum(np.hypot(x.xy[:, 0], x.xy[:, 1]), 1e-3) for x in deps])
+    los = np.concatenate([x.link_los for x in deps])
+    occ = np.concatenate([x.occupants for x in deps])
+    starts = np.array([0, 40, 41])
+    sinr, serving = mw.channel.sinr_batch(d, los, occ, starts, 1, P, np.random.default_rng(7))
+    # association per segment is sinr_at_user's
+    for k, dep in enumerate(deps):
+        _, assoc = mw.sinr_at_user(dep, (0.0, 0.0), 1, P, np.random.default_rng(0))
+        assert serving[k] == starts[k] + assoc.site_index
+    # every serving fade, then every interferer fade, then every gain
+    clone = np.random.default_rng(7)
+    ell = np.where(los, P.c_los * d ** -P.alpha_los, P.c_nlos * d ** -P.alpha_nlos)
+    h_serv = clone.exponential(1.0, 3)
+    counts = np.bitwise_count(occ).astype(int)
+    counts[serving] -= 1
+    idx = np.repeat(np.arange(d.size), counts)
+    terms = ell[idx] * clone.exponential(1.0, idx.size)
+    terms *= np.where(clone.random(idx.size) < P.main_lobe_prob, P.gain_main, P.gain_side)
+    seg = np.searchsorted(starts, idx, side="right") - 1
+    interference = np.bincount(seg, weights=terms, minlength=3)
+    assert interference[1] == 0.0 and interference[0] > 0.0 and interference[2] > 0.0
+    want = ell[serving] * h_serv * P.gain_main / (P.sigma2 + interference)
+    assert np.allclose(sinr, want, rtol=1e-12, atol=0.0)
+    # a batch of lone home sites has no interference term anywhere
+    sinr, _ = mw.channel.sinr_batch(d[[0, 40]], los[[0, 40]], np.ones(2, dtype=np.uint16),
+                                    np.array([0, 1]), 1, P, np.random.default_rng(7))
+    h = np.random.default_rng(7).exponential(1.0, 2)
+    assert np.array_equal(sinr, ell[[0, 40]] * h * P.gain_main / P.sigma2)

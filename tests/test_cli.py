@@ -142,6 +142,15 @@ def test_simulate_oversized_window_is_config_error(tmp_path):
                  "--out", str(out)]) == 2
 
 
+def test_oversized_reps_are_config_errors_before_any_work(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["simulate", "--fid", "0.4", "--reps", str(10**12), "--out", str(out)]) == 2
+    assert "replications must lie in" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["compare", "--rhos", "1", "--reps", str(10**12), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_simulate_missing_home_operator_is_data_error(tmp_path):
     csv_path = tmp_path / "op2only.csv"
     csv_path.write_text(
@@ -213,6 +222,20 @@ def test_estimate_non_finite_site_data_is_data_error(tmp_path, capsys, name, tex
                  "--out", str(tmp_path / "est")])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--bins", "4"],
+    ["press", "--target-density", "10"],
+], ids=["estimate", "press"])
+def test_site_file_that_is_not_utf8_is_data_error(tmp_path, capsys, argv):
+    csv_path = tmp_path / "latin.csv"
+    csv_path.write_bytes(b"# window_m,0.0,1000.0,0.0,1000.0\nsite_id,x_m,y_m,operators\n"
+                         b"0,100.0,100.0,1\n1,150.0,200.0,\xff1;2\n2,300.0,250.0,2\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--deployment", str(csv_path), "--out", str(out)]) == 3
+    assert "latin.csv: line 4: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("window, densities, message", [

@@ -1,12 +1,14 @@
 """Simulation driver: determinism, curve construction, failure modes."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import mmwshare as mw
-from mmwshare import ConfigError, DataError, NumericalError, SimPlan
+from mmwshare import ConfigError, DataError, NumericalError, SimPlan, montecarlo
+from mmwshare.core import pool_size
 from mmwshare.montecarlo import wilson_halfwidth
 
 KM2 = 1e6
@@ -162,3 +164,106 @@ def test_run_report_round_trips_settings():
     assert "replications: 50" in text
     assert "seed: (9, 9)" in text
     assert "fading: rayleigh" in text
+
+
+# ---------------------------------------------------------------------------
+# Batched stream layout
+
+NAK = mw.NAKAGAMI_LOGNORMAL_DEFAULT
+THREE_OP = mw.BlockModel(
+    mw.Window.square(mw.truncation_radius(45.0 / KM2, P)),
+    {mw.OperatorSet.of(1): 20.0 / KM2, mw.OperatorSet.of(2): 25.0 / KM2,
+     mw.OperatorSet.of(3): 15.0 / KM2, mw.OperatorSet.of(1, 2): 15.0 / KM2,
+     mw.OperatorSet.of(1, 2, 3): 10.0 / KM2},
+)
+CROWDED = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): 30.0 / KM2})
+
+
+def _fixed_deployment():
+    return mw.couple_two_operators(mw.fid_scenario(40.0 / KM2, 0.5), mw.Window.square(3000.0),
+                                   seed=4)
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    # pool sizes are capped at the CPU count; pretend there are enough CPUs
+    # that three workers really split the batches three ways
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
+@pytest.mark.parametrize("scenario, fading", [
+    (SPEC, None), (THREE_OP, NAK), (_fixed_deployment(), None),
+], ids=["two-op", "three-op-nakagami", "deployment"])
+def test_samples_do_not_depend_on_workers(many_cpus, scenario, fading):
+    runs = [mw.run_simulation(scenario, P, SimPlan(replications=250, seed=(8, 1), fading=fading,
+                                                   thresholds_db=[0.0], workers=w))
+            for w in (1, 2, 3)]
+    assert pool_size(3, 250) == 3
+    for res in runs[1:]:
+        assert np.array_equal(res.sinr, runs[0].sinr)
+    assert runs[0].sinr.shape == (250,) and np.all(np.isfinite(runs[0].sinr))
+
+
+def test_frequent_redraws_are_deterministic(many_cpus):
+    def run(workers):
+        plan = SimPlan(replications=400, seed=3, thresholds_db=[0.0], workers=workers,
+                       enforce_radius=False)
+        return mw.run_simulation(CROWDED, P, plan)
+
+    first, again, pooled = run(1), run(1), run(2)
+    # ~1.2 expected home sites per draw: about 30% of draws come up empty
+    assert 50 < first.report.redraws < 400
+    for other in (again, pooled):
+        assert np.array_equal(other.sinr, first.sinr)
+        assert other.report.redraws == first.report.redraws
+
+
+def test_batch_of_mostly_empty_draws_fills_every_sample():
+    # ~0.12 expected home sites per draw, and all 300 replications in one batch
+    sparse = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): 3.0 / KM2})
+    assert montecarlo._SITES_PER_BATCH >= 300
+    res = mw.run_simulation(sparse, P, SimPlan(replications=300, seed=5, thresholds_db=[0.0],
+                                               enforce_radius=False, max_attempts=1000))
+    assert res.report.redraws > 5 * 300
+    assert res.sinr.shape == (300,)
+    assert np.all(np.isfinite(res.sinr)) and np.all(res.sinr > 0)
+    assert np.unique(res.sinr).size == 300
+
+
+def test_batch_stream_is_the_spawned_child():
+    root = np.random.SeedSequence((12, 3))
+    children = np.random.SeedSequence((12, 3)).spawn(6)
+    for k in (0, 5):
+        want = np.random.Generator(np.random.PCG64(children[k])).random(4)
+        assert np.array_equal(montecarlo._batch_stream(root, k).random(4), want)
+
+
+def test_oversized_replication_count_is_rejected_at_once():
+    with pytest.raises(ConfigError, match="replications"):
+        SimPlan(replications=10**12)
+    SimPlan(replications=montecarlo.MAX_REPLICATIONS)
+
+
+def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert pool_size(5000, 10**6) == 2
+    assert pool_size(5000, 1) == 1
+    assert pool_size(1, 100) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(4, 100) == 1
+
+
+def test_huge_thread_counts_start_no_more_processes_than_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU run must not start a process pool")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(mw.analytic, "ProcessPoolExecutor", no_pool)
+    res = mw.run_simulation(SPEC, P, SimPlan(replications=50, seed=1, thresholds_db=[0.0],
+                                             workers=5000))
+    assert res.report.workers == 5000
+    serial = mw.run_simulation(SPEC, P, SimPlan(replications=50, seed=1, thresholds_db=[0.0]))
+    assert np.array_equal(res.sinr, serial.sinr)
+    mw.sinr_coverage(SPEC, P, [0.0, 10.0], workers=5000)
