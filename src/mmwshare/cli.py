@@ -226,6 +226,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     mode, rho = _sharing_mode_and_rho(args)
+    bins = parse_bins(args.bins) if args.bins else estimation.DEFAULT_BIN_COUNTS
     if args.deployment is not None:
         if rho is not None or mode is not None:
             raise ConfigError("--deployment and --rho/--fid/--fcd are mutually exclusive")
@@ -245,12 +246,11 @@ def cmd_estimate(args) -> int:
         source = f"synthetic({mode or 'fid'}, rho={rho!r}, lambda0={lam0_km2!r}/km^2, seed={args.seed})"
     else:
         raise ConfigError("no data given: use --deployment FILE or --rho X --window-km W")
-    out = _out_dir(args)
-    if args.eps_coloc > 0:
+    if args.eps_coloc != 0:  # merge_colocated rejects NaN, infinities and negatives
         dep = estimation.merge_colocated(dep, args.eps_coloc)
-    bins = parse_bins(args.bins) if args.bins else estimation.DEFAULT_BIN_COUNTS
     report = estimation.overlap_report(dep, bins)
     summary = estimation.sharing_summary(dep)
+    out = _out_dir(args)
     text = (
         f"source: {source}\n"
         f"colocation_merge_eps_m: {args.eps_coloc!r}\n"

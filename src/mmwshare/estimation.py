@@ -16,9 +16,11 @@ gives an estimate that is robust to the choice of cell size and doubles
 as a diagnostic: if the two estimators disagree, the deployments are
 correlated in a way the coupled-homogeneous model cannot express.
 
-Only the co-location merge needs SciPy (a KD-tree and connected
-components); it imports it when it runs, so importing this module loads
-NumPy alone.
+The module needs NumPy alone.  The co-location merge finds pairs within
+its radius with the uniform-grid search ``geometry.near_pairs`` and joins
+them into groups by min-label propagation; the direct estimator bins
+sites arithmetically, correcting each index against the ``linspace``
+edges so that its cell counts equal ``np.histogram2d``'s.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DataError, OperatorSet
-from .geometry import Deployment
+from .geometry import Deployment, near_pairs
 
 DEFAULT_BIN_COUNTS = (4, 9, 25, 64, 144, 400, 1024, 2500)
+# Each bin count allocates its cells whole: 10**6 (a 1000 x 1000 grid)
+# costs megabytes and lies far above any useful ladder.
+MAX_BIN_COUNT = 10**6
 DEFAULT_MERGE_EPS_M = 10.0
 SMOOTH_WINDOW = 5
 
@@ -61,33 +66,23 @@ def estimate_density(dep: Deployment, which=None) -> float:
 def merge_colocated(dep: Deployment, eps_m: float = DEFAULT_MERGE_EPS_M) -> Deployment:
     """Collapse sites within eps_m of each other into single multi-operator sites.
 
-    Merging is transitive (connected components of the within-eps graph);
-    the merged site sits at the group centroid and carries the union of
-    the occupants.  eps_m = 0 merges exactly coincident coordinates only.
-    Blockage labels and coupling marks do not survive the merge.
+    Merging is transitive (connected components of the graph of pairs
+    with dx*dx + dy*dy <= eps_m*eps_m); the merged site sits at the group
+    centroid and carries the union of the occupants.  eps_m = 0 merges
+    exactly coincident coordinates only.  Blockage labels and coupling
+    marks do not survive the merge.
     """
-    if eps_m < 0:
-        raise ConfigError("merge radius must be >= 0")
+    if not (math.isfinite(eps_m) and eps_m >= 0):
+        raise ConfigError(f"merge radius must be finite and >= 0, got {eps_m!r}")
     n = dep.n_sites
     if n == 0:
         return Deployment(dep.window, dep.xy[:0], dep.occupants[:0])
     if eps_m == 0:
         _, labels = np.unique(dep.xy, axis=0, return_inverse=True)
     else:
-        # imported here: loading SciPy takes longer than most CLI commands run
-        from scipy import sparse
-        from scipy.sparse.csgraph import connected_components
-        from scipy.spatial import cKDTree
-
-        pairs = cKDTree(dep.xy).query_pairs(eps_m, output_type="ndarray")
-        if pairs.size:
-            adj = sparse.coo_matrix(
-                (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-            )
-            _, labels = connected_components(adj, directed=False)
-        else:
-            labels = np.arange(n)
-    labels = np.asarray(labels)
+        i, j, d2 = near_pairs(dep.xy, eps_m)
+        close = d2 <= eps_m * eps_m
+        labels = _components(n, i[close], j[close])
     k = int(labels.max()) + 1
     pos = np.zeros((k, 2))
     np.add.at(pos, labels, dep.xy)
@@ -107,6 +102,30 @@ def merge_colocated(dep: Deployment, eps_m: float = DEFAULT_MERGE_EPS_M) -> Depl
         )
     )
     return Deployment(dep.window, pos[order], occ[order])
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Component labels 0..k-1, in order of first node, of n nodes joined by edges (i, j).
+
+    Min-label propagation: every root takes the smallest root among its
+    edges' ends, then pointer jumping flattens the forest; pointers only
+    ever go to smaller nodes, so the loop ends with each node pointing at
+    the smallest node of its component.
+    """
+    lab = np.arange(n)
+    while True:
+        li, lj = lab[i], lab[j]
+        if np.array_equal(li, lj):
+            roots = lab == np.arange(n)
+            return (np.cumsum(roots) - 1)[lab]
+        low = np.minimum(li, lj)
+        np.minimum.at(lab, li, low)
+        np.minimum.at(lab, lj, low)
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +150,42 @@ def estimate_overlap_direct(dep: Deployment, n_bins: int, op1: int = 1,
     """
     if dep.n_sites == 0:
         raise DataError("cannot estimate overlap of an empty deployment")
+    _check_bin_count(n_bins)
     k = math.isqrt(n_bins)
-    if k * k != n_bins or n_bins < 1:
-        raise ConfigError(f"bin count must be a perfect square, got {n_bins}")
     w = dep.window
-    grid = [
-        np.linspace(w.x_min, w.x_max, k + 1),
-        np.linspace(w.y_min, w.y_max, k + 1),
-    ]
+    cell = _bin_index(dep.xy[:, 0], w.x_min, w.x_max, k) * k
+    cell += _bin_index(dep.xy[:, 1], w.y_min, w.y_max, k)
     m1 = dep.operator_mask(op1)
     m2 = dep.operator_mask(op2)
-    c1, _, _ = np.histogram2d(dep.xy[m1, 0], dep.xy[m1, 1], bins=grid)
-    c2, _, _ = np.histogram2d(dep.xy[m2, 0], dep.xy[m2, 1], bins=grid)
+    c1 = np.bincount(cell[m1], minlength=n_bins)
+    c2 = np.bincount(cell[m2], minlength=n_bins)
     n1 = float(np.count_nonzero(m1))
     n2 = float(np.count_nonzero(m2))
+    # integer counts, so the sum is exact
     cross = float(np.sum(c1 * c2))
     return (cross - n1 * n2 / n_bins) / dep.n_sites
+
+
+def _check_bin_count(n_bins: int) -> None:
+    if not 1 <= n_bins <= MAX_BIN_COUNT or math.isqrt(n_bins) ** 2 != n_bins:
+        raise ConfigError(
+            f"bin count must be a perfect square from 1 to {MAX_BIN_COUNT}, got {n_bins}"
+        )
+
+
+def _bin_index(v: np.ndarray, lo: float, hi: float, k: int) -> np.ndarray:
+    """Bin of each value in [lo, hi] among k equal bins, as np.histogram2d bins it.
+
+    The arithmetic floor((v - lo) * k / (hi - lo)) is off by at most one
+    near an edge; one step against the same ``linspace`` edges gives
+    ``searchsorted(side="right") - 1``, and a value on the last edge
+    falls in the last bin.
+    """
+    edges = np.linspace(lo, hi, k + 1)
+    b = np.clip(((v - lo) * k / (hi - lo)).astype(np.intp), 0, k - 1)
+    b -= v < edges[b]
+    b += v >= edges[b + 1]
+    return np.minimum(b, k - 1)
 
 
 def _smooth(values: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
@@ -214,8 +253,8 @@ def overlap_report(dep: Deployment, bin_counts=DEFAULT_BIN_COUNTS, op1: int = 1,
     bins = tuple(int(b) for b in bin_counts)
     if len(bins) == 0:
         raise ConfigError("need at least one bin count")
-    if any(b < 1 or math.isqrt(b) ** 2 != b for b in bins):
-        raise ConfigError(f"bin counts must be perfect squares, got {bins}")
+    for b in bins:
+        _check_bin_count(b)
     if list(bins) != sorted(set(bins)):
         raise ConfigError("bin counts must be strictly increasing")
     raw = np.array([estimate_overlap_direct(dep, nb, op1, op2) for nb in bins])

@@ -4,8 +4,9 @@ Deployments hold realized site positions plus each site's occupant set.
 Sampling functions are pure in (inputs, seed): the same seed always
 reproduces the same realization, and distinct blocks/replications use
 explicitly spawned RNG streams so parallel use is order-independent.
-Only ``clustered_thinning`` needs SciPy (a KD-tree); it imports it when it
-runs, so importing this module loads NumPy alone.
+Fixed-radius neighbour searches (the co-location merge and
+``clustered_thinning``) share one uniform-grid helper, ``near_pairs``, so
+the module needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -254,11 +255,87 @@ def clustered_thinning(dep: Deployment, parent_density: float, keep_radius: floa
     if n_centers == 0 or dep.n_sites == 0:
         return dep.keep(np.zeros(dep.n_sites, dtype=bool))
     centers = _uniform_in_window(rng, dep.window, n_centers)
-    # imported here: loading SciPy takes longer than most CLI commands run
-    from scipy.spatial import cKDTree
+    site, _, d2 = near_pairs(dep.xy, keep_radius, centers)
+    keep = np.zeros(dep.n_sites, dtype=bool)
+    # the comparison a KD-tree query's returned distance would get
+    keep[site[np.sqrt(d2) <= keep_radius]] = True
+    return dep.keep(keep)
 
-    dist, _ = cKDTree(centers).query(dep.xy, k=1)
-    return dep.keep(dist <= keep_radius)
+
+# ---------------------------------------------------------------------------
+# Fixed-radius neighbour search on a uniform grid (Bentley, Stanat and
+# Williams, 1977): hash points to square cells no narrower than the radius,
+# then compare each point with the points of its own and adjacent cells.
+
+# Cells are wider than r by this factor, so floor rounding never puts two
+# points within r of each other two cells apart.  The rounding of a cell
+# index is below 4 ulp times the cell count per axis, which
+# _MAX_CELLS_PER_AXIS holds to 2**-22, a quarter of the slack.
+_CELL_SLACK = 2.0**-20
+_MAX_CELLS_PER_AXIS = 2**28
+# A radius that is wrong by orders of magnitude would build pairs until
+# memory runs out; refuse once the candidates are counted instead.
+MAX_NEAR_PAIRS = 4_000_000
+
+
+def near_pairs(xy: np.ndarray, r: float,
+               other: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate pairs for a search within radius r: (i, j, squared distance).
+
+    ``xy`` and ``other`` are (n, 2) float arrays.  With ``other`` None the
+    pairs are of rows of ``xy`` with each other, each unordered pair once;
+    otherwise row i of ``xy`` is paired with row j of ``other``.  Candidates are the points of adjacent grid cells, so
+    every pair within r is among them however its distance rounds; the
+    squared distance ``dx*dx + dy*dy`` lets each caller apply its own test.
+    Raises ConfigError when the candidates would exceed MAX_NEAR_PAIRS.
+    """
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigError(f"search radius must be positive and finite, got {r!r}")
+    ref = xy if other is None else other
+    n = xy.shape[0]
+    if n == 0 or ref.shape[0] == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, np.empty(0)
+    both = xy if other is None else np.concatenate((xy, ref))
+    x, y = both[:, 0], both[:, 1]
+    x0, y0 = x.min(), y.min()
+    side = max(r * (1.0 + _CELL_SLACK), max(x.max() - x0, y.max() - y0) / _MAX_CELLS_PER_AXIS)
+    cy = ((y - y0) / side).astype(np.int64)  # floor, since y - y0 >= 0
+    # Column-major cell keys.  The spare row per column keeps cy +- 1 from
+    # wrapping into the next column, and makes the three cells of a column
+    # that neighbour a point one run of keys: key - 1 .. key + 1.
+    width = int(cy.max()) + 2
+    keys = ((x - x0) / side).astype(np.int64) * width + cy
+    qkey, rkey = (keys, keys) if other is None else (keys[:n], keys[n:])
+    rorder = np.argsort(rkey)
+    rsorted = rkey[rorder]
+    if other is None:
+        # own column forward of this point, then the next column
+        qorder, qsorted = rorder, rsorted
+        lo = [np.arange(1, n + 1), np.searchsorted(rsorted, qsorted + (width - 1))]
+        hi = [np.searchsorted(rsorted, qsorted + 1, side="right"),
+              np.searchsorted(rsorted, qsorted + (width + 1), side="right")]
+    else:
+        qorder = np.argsort(qkey)
+        qsorted = qkey[qorder]
+        lo = [np.searchsorted(rsorted, qsorted + (c * width - 1)) for c in (-1, 0, 1)]
+        hi = [np.searchsorted(rsorted, qsorted + (c * width + 1), side="right")
+              for c in (-1, 0, 1)]
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    count = hi - lo
+    total = int(count.sum())
+    if total > MAX_NEAR_PAIRS:
+        raise ConfigError(
+            f"a search radius of {r!r} m gives {total} candidate pairs, more than "
+            f"{MAX_NEAR_PAIRS}; check the radius and its units (meters)"
+        )
+    starts = np.cumsum(count) - count
+    q = np.repeat(np.arange(count.size) % n, count)
+    j = np.arange(total) + np.repeat(lo - starts, count)
+    i, j = qorder[q], rorder[j]
+    dx = xy[i, 0] - ref[j, 0]
+    dy = xy[i, 1] - ref[j, 1]
+    return i, j, dx * dx + dy * dy
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,28 @@ def test_estimate_non_finite_site_data_is_data_error(tmp_path, capsys, name, tex
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--eps-coloc", "nan"], "merge radius must be finite and >= 0, got nan"),
+    (["--eps-coloc", "inf"], "merge radius must be finite and >= 0, got inf"),
+    (["--eps-coloc=-inf"], "merge radius must be finite and >= 0, got -inf"),
+    (["--eps-coloc=-1"], "merge radius must be finite and >= 0, got -1.0"),
+    (["--bins", "4,1000000000000"], "bin count must be a perfect square from 1 to 1000000"),
+    (["--eps-coloc", "1e6"], "a search radius of 1000000.0 m gives"),
+], ids=["eps-nan", "eps-inf", "eps-minus-inf", "eps-negative", "bins-huge", "eps-huge"])
+def test_estimate_bad_merge_radius_or_bins_exit_2_without_output(tmp_path, capsys, flags,
+                                                                  message):
+    # some 3,900 sites in one cell: the huge radius is refused once its
+    # 7.6e6 candidate pairs are counted, before any pair is built
+    dep = mw.couple_two_operators(mw.fid_scenario(3000e-6, 0.5), mw.Window.square(500.0), 3)
+    assert dep.n_sites * (dep.n_sites - 1) // 2 > mw.geometry.MAX_NEAR_PAIRS
+    csv_path = tmp_path / "sites.csv"
+    mw.write_deployment_csv(dep, csv_path)
+    out = tmp_path / "out"
+    assert main(["estimate", "--deployment", str(csv_path), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--bins", "4"],
     ["press", "--target-density", "10"],
@@ -290,9 +312,9 @@ def test_unknown_flag_exits_via_argparse(tmp_path):
     assert exc.value.code == 2
 
 
-def test_commands_other_than_estimate_do_not_load_scipy(tmp_path):
-    # SciPy takes longer to import than these commands run; a fresh
-    # interpreter shows what the package itself pulls in.
+def test_no_command_loads_scipy(tmp_path):
+    # SciPy is a test oracle only; a fresh interpreter shows what the
+    # package itself pulls in.
     script = textwrap.dedent(f"""
         import sys
         import mmwshare as mw
@@ -308,6 +330,8 @@ def test_commands_other_than_estimate_do_not_load_scipy(tmp_path):
              "--rates", "100:100:200"],
             ["compare", "--rhos", "1", "--reps", "20", "--rates", "100:100:200"],
             ["press", "--deployment", out + "/sites.csv", "--target-density", "30"],
+            ["estimate", "--deployment", out + "/sites.csv", "--eps-coloc", "10"],
+            ["estimate", "--fid", "0.4", "--window-km", "2"],
         ]
         for i, argv in enumerate(runs):
             assert main(argv + ["--out", out + f"/o{{i}}"]) == 0, argv

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import mmwshare as mw
-from mmwshare import ConfigError, DataError
+from mmwshare import ConfigError, DataError, geometry
+from mmwshare.geometry import near_pairs
 
 KM2 = 1e6
 WIN = mw.Window(0.0, 5000.0, 0.0, 5000.0)
@@ -260,3 +261,83 @@ def test_csv_write_read_write_is_byte_identical(tmp_path):
     mw.write_deployment_csv(back, second)
     assert first.read_bytes() == second.read_bytes()
     assert "0.30000000000000004,333.3333333333333,1\n" in first.read_text()
+
+
+# ---------------------------------------------------------------------------
+# The grid search against SciPy's KD-tree (SciPy is a test oracle only)
+
+def _pair_set(i, j, keep):
+    return {(min(a, b), max(a, b)) for a, b in zip(i[keep].tolist(), j[keep].tolist())}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_near_pairs_equal_kdtree_pairs(seed):
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(seed)
+    # clumps give dense cells, the sparse rest empty ones; coordinates far
+    # from the origin make every difference round
+    clumps = rng.uniform(-2e5, -1.99e5, size=(30, 2))
+    xy = np.concatenate((clumps[rng.integers(0, 30, 1500)] + rng.normal(0, 4, (1500, 2)),
+                         rng.uniform(-2e5, -1.95e5, size=(1500, 2))))
+    other = rng.uniform(-2e5, -1.95e5, size=(200, 2))
+    for r in (0.5, 6.0, np.nextafter(25.0, 0.0), 140.0):
+        i, j, d2 = near_pairs(xy, r)
+        ref = cKDTree(xy).query_pairs(r, output_type="ndarray").reshape(-1, 2)
+        assert _pair_set(i, j, d2 <= r * r) == _pair_set(ref[:, 0], ref[:, 1], slice(None))
+        i, j, d2 = near_pairs(xy, r, other)
+        got = set(zip(i[d2 <= r * r].tolist(), j[d2 <= r * r].tolist()))
+        balls = cKDTree(other).query_ball_point(xy, r)
+        assert got == {(a, b) for a, ball in enumerate(balls) for b in ball}
+
+
+def test_near_pairs_refuses_oversized_searches_before_building_them():
+    # 3,000 points in one cell: 4.5e6 candidates, counted but never built
+    xy = np.random.default_rng(1).uniform(0.0, 100.0, size=(3000, 2))
+    assert 3000 * 2999 // 2 > geometry.MAX_NEAR_PAIRS
+    with pytest.raises(ConfigError, match="radius of 1000.0 m gives 4498500 candidate pairs"):
+        near_pairs(xy, 1000.0)
+    with pytest.raises(ConfigError, match="merge radius"):
+        mw.merge_colocated(mw.Deployment(WIN, xy, np.ones(3000, dtype=np.uint16)), -1.0)
+    for r in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            near_pairs(xy, r)
+    i, j, d2 = near_pairs(xy[:0], 5.0)
+    assert i.size == j.size == d2.size == 0
+
+
+def _centers(window, parent_density, seed):
+    """The cluster centres clustered_thinning draws for this seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n_centers = int(rng.poisson(parent_density * window.area()))
+    centers = np.empty((n_centers, 2))
+    centers[:, 0] = rng.uniform(window.x_min, window.x_max, n_centers)
+    centers[:, 1] = rng.uniform(window.y_min, window.y_max, n_centers)
+    return centers
+
+
+def _kdtree_thinning(dep, parent_density, keep_radius, seed):
+    """clustered_thinning as a KD-tree nearest-centre query computes it."""
+    from scipy.spatial import cKDTree
+
+    dist, _ = cKDTree(_centers(dep.window, parent_density, seed)).query(dep.xy, k=1)
+    return dep.xy[dist <= keep_radius]
+
+
+@pytest.mark.parametrize("seed", [8, 9, 10, 11])
+def test_clustered_thinning_keeps_the_kdtree_sites(seed):
+    dep = mw.couple_two_operators(mw.fid_scenario(30.0 / KM2, 0.5), WIN, seed=2)
+    for parent, radius in ((2.0 / KM2, 300.0), (40.0 / KM2, 60.0), (0.3 / KM2, 900.0)):
+        thinned = mw.clustered_thinning(dep, parent, radius, seed=seed)
+        assert np.array_equal(thinned.xy, _kdtree_thinning(dep, parent, radius, seed))
+    # sites on circles of the keep radius around the centres: their
+    # distances round to either side of it
+    parent, radius = 2.0 / KM2, 300.0
+    angle = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    ring = (_centers(WIN, parent, seed)[:, None, :]
+            + radius * np.stack((np.cos(angle), np.sin(angle)), axis=-1)).reshape(-1, 2)
+    ring = ring[WIN.contains(ring[:, 0], ring[:, 1])]
+    dep = mw.Deployment(WIN, ring, np.ones(ring.shape[0], dtype=np.uint16))
+    thinned = mw.clustered_thinning(dep, parent, radius, seed=seed)
+    assert 0 < thinned.n_sites < dep.n_sites
+    assert np.array_equal(thinned.xy, _kdtree_thinning(dep, parent, radius, seed))
