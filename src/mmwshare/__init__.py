@@ -15,7 +15,6 @@ from .analytic import (
     exclusion_radius,
     interference_kernel,
     laplace_general,
-    laplace_two_op,
     los_measure,
     median_rate,
     nlos_measure,
@@ -68,7 +67,6 @@ from .estimation import (
 )
 from .geometry import (
     Deployment,
-    Site,
     clustered_thinning,
     couple_two_operators,
     press,

@@ -131,20 +131,10 @@ def interference_kernel(params: SystemParams, s, t, los: bool):
 
 
 # ---------------------------------------------------------------------------
-# Scenario plumbing shared with the simulator
-
-def blocks_of(scenario) -> list[tuple[OperatorSet, float]]:
-    """Positive-density (subset, density) pairs in bitmask order."""
-    if isinstance(scenario, BlockModel):
-        return scenario.blocks()
-    if isinstance(scenario, TwoOpSpec):
-        return sorted(scenario.block_densities().items(), key=lambda kv: kv[0].bits)
-    raise ConfigError(
-        f"scenario must be a BlockModel or TwoOpSpec, got {type(scenario).__name__}"
-    )
-
+# Scenario check
 
 def operator_density_of(scenario, m: int) -> float:
+    """Operator m's density: the engine's one check that ``scenario`` has ``blocks()``."""
     if isinstance(scenario, (BlockModel, TwoOpSpec)):
         return scenario.operator_density(m)
     raise ConfigError(
@@ -258,8 +248,8 @@ def association_pdf(scenario, params: SystemParams, subset: OperatorSet, serving
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ConfigError("serving distance must be positive")
-    lam_sub = dict(blocks_of(scenario)).get(subset, 0.0)
     lam_home = operator_density_of(scenario, home_operator)
+    lam_sub = dict(scenario.blocks()).get(subset, 0.0)
     beta = params.beta_per_m
     d = exclusion_radius(params, r, serving_los)
     if serving_los:
@@ -536,22 +526,6 @@ def _segments_general(blocks, params: SystemParams, r, serving_los,
     )
 
 
-def _segments_two_op(spec: TwoOpSpec, params: SystemParams, r: float,
-                     serving_los: bool) -> _Segments:
-    d = exclusion_radius(params, r, serving_los)
-    near_los, near_nlos = (r, d) if serving_los else (d, r)
-    two_pi_lam = 2.0 * np.pi * spec.lambda_total
-    solo = two_pi_lam * (1.0 - spec.retain_a)
-    return _Segments(
-        weight=np.array([solo, two_pi_lam, solo, two_pi_lam]),
-        power=1,
-        mix=np.array([0.0, spec.rho, 0.0, spec.rho]),
-        los=np.array([True, True, False, False]),
-        lower=np.array([0.0, near_los, 0.0, near_nlos]),
-        upper=np.array([near_los, np.inf, near_nlos, np.inf]),
-    )
-
-
 def laplace_general(scenario, params: SystemParams, subset: OperatorSet, serving_los: bool,
                     r: float, s: float, home_operator: int = 1, *,
                     epsabs: float = 1e-11, epsrel: float = 1e-9) -> float:
@@ -569,46 +543,11 @@ def laplace_general(scenario, params: SystemParams, subset: OperatorSet, serving
         raise ConfigError("serving distance must be positive")
     if s < 0:
         raise ConfigError("Laplace argument must be >= 0")
-    segs = _segments_general(blocks_of(scenario), params, r, serving_los, home_operator)
+    operator_density_of(scenario, home_operator)  # rejects anything but a scenario
+    segs = _segments_general(scenario.blocks(), params, r, serving_los, home_operator)
     total = float(_exponent_each(segs, params, s, epsabs, epsrel).sum())
     co = interference_kernel(params, s, r, serving_los) ** (len(subset) - 1)
     return float(co * math.exp(-total))
-
-
-def laplace_two_op_factors(spec: TwoOpSpec, params: SystemParams, serving_los: bool,
-                           r: float, s: float, *, epsabs: float = 1e-11,
-                           epsrel: float = 1e-9) -> tuple[float, float, float, float]:
-    """The four exponential factors of the two-operator transform.
-
-    Factors 1/3 cover the exclusive-competitor sites inside the LOS/NLOS
-    exclusion regions (weight 1-a); factors 2/4 the tails where shared
-    sites add the (1 + rho*u) correction.  Their product equals
-    laplace_two_op without the co-location factor.
-    """
-    if r <= 0 or s < 0:
-        raise ConfigError("need r > 0 and s >= 0")
-    segs = _segments_two_op(spec, params, r, serving_los)
-    expo = _exponent_each(segs, params, s, epsabs, epsrel)
-    return tuple(float(math.exp(-e)) for e in expo)
-
-
-def laplace_two_op(spec: TwoOpSpec, params: SystemParams, serving_los: bool, r: float,
-                   s: float, co_located: bool, *, epsabs: float = 1e-11,
-                   epsrel: float = 1e-9) -> float:
-    """Two-operator interference Laplace transform (fast path).
-
-    Algebraically identical to laplace_general on the {1},{2},{1,2}
-    decomposition; co_located says whether the serving site also hosts
-    operator 2, adding one interferer at the serving distance.
-    """
-    if r <= 0 or s < 0:
-        raise ConfigError("need r > 0 and s >= 0")
-    segs = _segments_two_op(spec, params, r, serving_los)
-    total = float(_exponent_each(segs, params, s, epsabs, epsrel).sum())
-    val = math.exp(-total)
-    if co_located:
-        val *= interference_kernel(params, s, r, serving_los)
-    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +663,8 @@ def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
     nodes times both serving link types times every segment go to one
     _exponent_each call.
     """
-    blocks = blocks_of(scenario)
     lam_home = operator_density_of(scenario, home_operator)
+    blocks = scenario.blocks()
     home_k = np.array([len(sub) for sub, _ in blocks if home_operator in sub])
     home_lam = np.array([lam for sub, lam in blocks if home_operator in sub])
     beta = params.beta_per_m

@@ -91,16 +91,27 @@ def _load_params(args) -> SystemParams:
     return base if args.params is None else load_params_file(args.params, base=base)
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _sharing_mode_and_rho(args) -> tuple[str | None, float | None]:
-    mode, rho = None, None
-    if args.fid is not None:
-        mode = "fid"
-        rho = None if args.fid == _BARE else float(args.fid)
-    if args.fcd is not None:
-        if mode is not None:
-            raise ConfigError("--fid and --fcd are mutually exclusive")
-        mode = "fcd"
-        rho = None if args.fcd == _BARE else float(args.fcd)
+    if args.fid is not None and args.fcd is not None:
+        raise ConfigError("--fid and --fcd are mutually exclusive")
+    mode = "fid" if args.fid is not None else "fcd" if args.fcd is not None else None
+    value = args.fid if mode == "fid" else args.fcd
+    rho = None
+    if value not in (None, _BARE):
+        try:
+            rho = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"--{mode} expects a number, got {value!r}") from exc
     if args.rho is not None:
         if rho is not None:
             raise ConfigError("the sharing fraction was given twice (--rho and --fid/--fcd)")
@@ -108,7 +119,17 @@ def _sharing_mode_and_rho(args) -> tuple[str | None, float | None]:
     return mode, rho
 
 
-def _resolve_scenario(args, allow_deployment: bool):
+def _sharing_spec(mode: str | None, rho: float | None,
+                  lambda0_km2: float) -> tuple[TwoOpSpec, str, str]:
+    """The FID (default) or FCD scenario, its mode and ``rho=..., lambda0=...`` text."""
+    if rho is None:
+        raise ConfigError("give the sharing fraction: --rho X, --fid X or --fcd X")
+    mode = mode or "fid"
+    make = fid_scenario if mode == "fid" else fcd_scenario
+    return make(lambda0_km2 / KM2, rho), mode, f"rho={rho!r}, lambda0={lambda0_km2!r}/km^2"
+
+
+def _resolve_scenario(args):
     """Returns (scenario, description). Exactly one scenario source allowed."""
     mode, rho = _sharing_mode_and_rho(args)
     deployment_path = getattr(args, "deployment", None)
@@ -126,25 +147,12 @@ def _resolve_scenario(args, allow_deployment: bool):
         if getattr(args, "window_km", None) is not None:
             half = args.window_km * 1000.0 / 2.0
             model = BlockModel(Window.square(half), model.densities)
-        desc = "blocks(" + ", ".join(
-            f"{sub.to_text()}:{lam * KM2:.6g}/km^2" for sub, lam in model.blocks()
-        ) + ")"
-        return model, desc
+        return model, model.to_text()
     if deployment_path is not None:
-        if not allow_deployment:
-            raise ConfigError(
-                "--deployment is not supported here; use the simulate or estimate command"
-            )
         dep = geometry.read_deployment_csv(deployment_path)
         return dep, f"deployment({deployment_path}, n_sites={dep.n_sites})"
-    if rho is None:
-        raise ConfigError("give the sharing fraction: --rho X, --fid X or --fcd X")
-    mode = mode or "fid"
-    lam0_km2 = args.lambda0 if args.lambda0 is not None else DEFAULT_LAMBDA0_PER_KM2
-    lam0 = lam0_km2 / KM2
-    spec = fid_scenario(lam0, rho) if mode == "fid" else fcd_scenario(lam0, rho)
-    desc = f"{mode}(rho={rho!r}, lambda0={lam0_km2!r}/km^2)"
-    return spec, desc
+    spec, mode, text = _sharing_spec(mode, rho, args.lambda0)
+    return spec, f"{mode}({text})"
 
 
 def _operator_density(scenario, operator: int = 1) -> float:
@@ -169,7 +177,7 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_analyze(args) -> int:
     params = _load_params(args)
-    scenario, desc = _resolve_scenario(args, allow_deployment=False)
+    scenario, desc = _resolve_scenario(args)
     grid = parse_grid(args.sinr or DEFAULT_SINR_GRID, "sinr")
     rates = parse_grid(args.rates, "rates") * 1e6 if args.rates else None
     out = _out_dir(args)
@@ -198,7 +206,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _load_params(args)
-    scenario, desc = _resolve_scenario(args, allow_deployment=True)
+    scenario, desc = _resolve_scenario(args)
     if isinstance(scenario, geometry.Deployment) and args.window_km is not None:
         raise ConfigError("--window-km does not apply to a fixed deployment")
     grid = parse_grid(args.sinr or DEFAULT_SINR_GRID, "sinr")
@@ -234,16 +242,12 @@ def cmd_estimate(args) -> int:
         source = f"deployment({args.deployment})"
     elif rho is not None or mode is not None:
         # synthetic round trip: sample a coupled deployment, then estimate
-        if rho is None:
-            raise ConfigError("give the sharing fraction: --rho X, --fid X or --fcd X")
+        spec, mode, text = _sharing_spec(mode, rho, args.lambda0)
         if args.window_km is None:
             raise ConfigError("synthetic estimation needs --window-km for the sampling window")
-        lam0_km2 = args.lambda0 if args.lambda0 is not None else DEFAULT_LAMBDA0_PER_KM2
-        lam0 = lam0_km2 / KM2
-        spec = fcd_scenario(lam0, rho) if mode == "fcd" else fid_scenario(lam0, rho)
         window = Window.square(args.window_km * 1000.0 / 2.0)
         dep = geometry.couple_two_operators(spec, window, args.seed)
-        source = f"synthetic({mode or 'fid'}, rho={rho!r}, lambda0={lam0_km2!r}/km^2, seed={args.seed})"
+        source = f"synthetic({mode}, {text}, seed={args.seed})"
     else:
         raise ConfigError("no data given: use --deployment FILE or --rho X --window-km W")
     if args.eps_coloc != 0:  # merge_colocated rejects NaN, infinities and negatives
@@ -276,8 +280,7 @@ def cmd_press(args) -> int:
     pressed = geometry.press(dep, target, operator=args.operator)
     geometry.write_deployment_csv(pressed, out / "pressed.csv")
     print(f"wrote {out / 'pressed.csv'}")
-    which = args.operator if args.operator is not None else None
-    new_density = estimation.estimate_density(pressed, which) * KM2
+    new_density = estimation.estimate_density(pressed, args.operator) * KM2
     print(f"pressed density: {new_density:.6g} /km^2 over {pressed.window.area() / KM2:.6g} km^2")
     return 0
 
@@ -285,8 +288,7 @@ def cmd_press(args) -> int:
 def cmd_compare(args) -> int:
     params = _load_params(args)
     rhos = parse_rhos(args.rhos) if args.rhos else (0.0, 0.4, 1.0)
-    lam0_km2 = args.lambda0 if args.lambda0 is not None else DEFAULT_LAMBDA0_PER_KM2
-    lam0 = lam0_km2 / KM2
+    lam0 = args.lambda0 / KM2
     rates = parse_grid(args.rates or DEFAULT_RATE_GRID_MBPS, "rates") * 1e6
     half_b = dataclasses.replace(params, bandwidth_hz=params.bandwidth_hz / 2.0)
     runs: list[tuple[str, object, SystemParams]] = []
@@ -333,17 +335,21 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", default="paper-sec5", help="named parameter preset")
-    p.add_argument("--params", metavar="FILE", help="JSON parameter overrides")
+def _add_common(p: argparse.ArgumentParser, engine: bool) -> None:
+    """--out, plus the parameter and worker options of the commands that run an engine."""
     p.add_argument("--out", default=".", metavar="DIR", help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker process cap")
+    if engine:
+        p.add_argument("--preset", default="paper-sec5", help="named parameter preset")
+        p.add_argument("--params", metavar="FILE", help="JSON parameter overrides")
+        p.add_argument("--threads", type=_worker_count, default=1,
+                       help="worker process cap (at least 1)")
 
 
-def _add_scenario(p: argparse.ArgumentParser, deployment: bool) -> None:
-    p.add_argument("--blocks", metavar="FILE", help="JSON block-density table")
+def _add_scenario(p: argparse.ArgumentParser, blocks: bool, deployment: bool) -> None:
+    if blocks:
+        p.add_argument("--blocks", metavar="FILE", help="JSON block-density table")
     p.add_argument("--rho", type=float, help="sharing fraction in [0, 1]")
-    p.add_argument("--lambda0", type=float, metavar="Y",
+    p.add_argument("--lambda0", type=float, default=DEFAULT_LAMBDA0_PER_KM2, metavar="Y",
                    help=f"per-operator density per km^2 (default {DEFAULT_LAMBDA0_PER_KM2:g})")
     p.add_argument("--fid", nargs="?", const=_BARE, metavar="RHO",
                    help="fixed-individual-density sharing (optionally the rho value)")
@@ -361,16 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="coverage curves by numerical integration")
-    _add_common(p)
-    _add_scenario(p, deployment=False)
+    _add_common(p, engine=True)
+    _add_scenario(p, blocks=True, deployment=False)
     p.add_argument("--sinr", metavar="LO:STEP:HI", help=f"SINR grid in dB (default {DEFAULT_SINR_GRID})")
     p.add_argument("--rates", metavar="LO:STEP:HI", help="also compute rate coverage (grid in Mbps)")
     p.add_argument("--median", action="store_true", help="also compute the median rate")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="coverage curves by Monte Carlo")
-    _add_common(p)
-    _add_scenario(p, deployment=True)
+    _add_common(p, engine=True)
+    _add_scenario(p, blocks=True, deployment=True)
     p.add_argument("--sinr", metavar="LO:STEP:HI", help=f"SINR grid in dB (default {DEFAULT_SINR_GRID})")
     p.add_argument("--rates", metavar="LO:STEP:HI", help="also compute rate coverage (grid in Mbps)")
     p.add_argument("--reps", type=int, default=20000, help="Monte Carlo replications")
@@ -380,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="densities and overlap from site data")
-    _add_common(p)
-    _add_scenario(p, deployment=True)
+    _add_common(p, engine=False)
+    _add_scenario(p, blocks=False, deployment=True)
     p.add_argument("--eps-coloc", type=float, default=estimation.DEFAULT_MERGE_EPS_M,
                    metavar="M", help="co-location merge radius in meters (0 disables)")
     p.add_argument("--bins", metavar="K1,K2,...", help="counting-grid sizes (perfect squares)")
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("press", help="rescale a deployment to a target density")
-    _add_common(p)
+    _add_common(p, engine=False)
     p.add_argument("--deployment", metavar="FILE", required=True, help="site CSV to press")
     p.add_argument("--target-density", type=float, required=True, metavar="X",
                    help="target density per km^2")
@@ -399,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_press)
 
     p = sub.add_parser("compare", help="rate coverage of sharing modes vs single operator")
-    _add_common(p)
+    _add_common(p, engine=True)
     p.add_argument("--rhos", metavar="R1,R2,...", help="sharing fractions (default 0,0.4,1)")
-    p.add_argument("--lambda0", type=float, metavar="Y",
+    p.add_argument("--lambda0", type=float, default=DEFAULT_LAMBDA0_PER_KM2, metavar="Y",
                    help=f"per-operator density per km^2 (default {DEFAULT_LAMBDA0_PER_KM2:g})")
     p.add_argument("--rates", metavar="LO:STEP:HI",
                    help=f"rate grid in Mbps (default {DEFAULT_RATE_GRID_MBPS})")

@@ -301,6 +301,11 @@ class BlockModel:
     def total_density(self) -> float:
         return sum(self.densities.values())
 
+    def to_text(self) -> str:
+        """``blocks(1:12/km^2, 1;2:6/km^2, ...)``, the positive blocks in bitmask order."""
+        return "blocks(" + ", ".join(
+            f"{sub.to_text()}:{lam * KM2:.6g}/km^2" for sub, lam in self.blocks()) + ")"
+
     def operators(self) -> tuple[int, ...]:
         present: set[int] = set()
         for s, lam in self.densities.items():
@@ -381,17 +386,20 @@ class TwoOpSpec:
             return self.lambda_op2
         raise ConfigError(f"two-operator model has operators 1 and 2 only, got {m}")
 
-    def block_densities(self) -> dict["OperatorSet", float]:
-        """Equivalent independent-block decomposition {1}, {2}, {1,2}."""
-        out = {
-            OperatorSet.of(1): self.lambda_only1,
-            OperatorSet.of(2): self.lambda_only2,
-            OperatorSet.of(1, 2): self.lambda_shared,
-        }
-        return {s: lam for s, lam in out.items() if lam > 0}
+    def blocks(self) -> list[tuple["OperatorSet", float]]:
+        """(subset, density) pairs of the equivalent independent blocks {1}, {2}, {1,2}.
+
+        Like ``BlockModel.blocks()``: positive densities only, in bitmask order.
+        """
+        out = [
+            (OperatorSet.of(1), self.lambda_only1),
+            (OperatorSet.of(2), self.lambda_only2),
+            (OperatorSet.of(1, 2), self.lambda_shared),
+        ]
+        return [(s, lam) for s, lam in out if lam > 0]
 
     def to_block_model(self, window: Window) -> BlockModel:
-        return BlockModel(window, self.block_densities())
+        return BlockModel(window, dict(self.blocks()))
 
 
 def fid_scenario(lambda0: float, rho: float) -> TwoOpSpec:

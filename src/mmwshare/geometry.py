@@ -17,7 +17,6 @@ from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -34,17 +33,6 @@ def _as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(_as_seed_sequence(seed))
-
-
-@dataclass(frozen=True)
-class Site:
-    """Single-site view (convenience for inspection and small data)."""
-
-    site_id: int
-    x: float
-    y: float
-    occupants: OperatorSet
-    mark: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +92,6 @@ class Deployment:
             return ()
         union = int(np.bitwise_or.reduce(self.occupants))
         return OperatorSet(union).operators
-
-    def site(self, i: int) -> Site:
-        mark = float(self.marks[i]) if self.marks is not None else None
-        return Site(i, float(self.xy[i, 0]), float(self.xy[i, 1]),
-                    OperatorSet(int(self.occupants[i])), mark)
-
-    def sites(self) -> Iterator[Site]:
-        return (self.site(i) for i in range(self.n_sites))
 
     def with_labels(self, link_los: np.ndarray) -> "Deployment":
         return replace(self, link_los=link_los)
@@ -343,6 +323,8 @@ def near_pairs(xy: np.ndarray, r: float,
 
 CSV_HEADER = ("site_id", "x_m", "y_m", "operators")
 _WINDOW_COMMENT = "# window_m"
+# Rows turned into Python values at a time, which bounds the writer's memory.
+_WRITE_BLOCK_ROWS = 4096
 
 
 def write_deployment_csv(dep: Deployment, path: str | Path) -> None:
@@ -353,18 +335,20 @@ def write_deployment_csv(dep: Deployment, path: str | Path) -> None:
     """
     path = Path(path)
     w = dep.window
-    occupants = dep.occupants.tolist()
-    ops = {b: OperatorSet(b).to_text() for b in set(occupants)}
+    ops = {b: OperatorSet(b).to_text() for b in np.unique(dep.occupants).tolist()}
     with path.open("w", newline="") as fh:
         fh.write(
             f"{_WINDOW_COMMENT},{float(w.x_min)!r},{float(w.x_max)!r},"
             f"{float(w.y_min)!r},{float(w.y_max)!r}\n"
         )
         fh.write(",".join(CSV_HEADER) + "\n")
-        fh.writelines(
-            f"{i},{x!r},{y!r},{ops[b]}\n"
-            for i, ((x, y), b) in enumerate(zip(dep.xy.tolist(), occupants))
-        )
+        for start in range(0, dep.n_sites, _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            fh.writelines(
+                f"{i},{x!r},{y!r},{ops[b]}\n"
+                for i, (x, y), b in zip(range(start, stop), dep.xy[start:stop].tolist(),
+                                        dep.occupants[start:stop].tolist())
+            )
 
 
 def _read_window_comment(path: Path, line: str) -> Window:

@@ -262,50 +262,42 @@ def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
                 f"deployment contains no operator-{plan.home_operator} site"
             )
         return scenario, f"deployment(n_sites={scenario.n_sites})"
-    if isinstance(scenario, BlockModel):
-        lam_home = scenario.operator_density(plan.home_operator)
-        if lam_home <= 0:
-            raise ConfigError(f"operator {plan.home_operator} has zero density")
-        window = scenario.window
-        if plan.enforce_radius:
-            r_max = truncation_radius(lam_home, params)
-            cx, cy = window.center()
-            margin = min(
-                cx - window.x_min, window.x_max - cx, cy - window.y_min, window.y_max - cy
-            )
-            if margin < r_max * (1.0 - 1e-9):
-                raise ConfigError(
-                    f"window half-width {margin:.1f} m is below the truncation "
-                    f"radius {r_max:.1f} m; enlarge the window"
-                )
-        _guard_point_budget(scenario.total_density() * window.area())
-        desc = "blocks(" + ", ".join(
-            f"{sub.to_text()}:{lam * 1e6:.6g}/km^2" for sub, lam in scenario.blocks()
-        ) + ")"
-        return scenario, desc
     if isinstance(scenario, TwoOpSpec):
         if plan.home_operator not in (1, 2):
             raise ConfigError("two-operator scenarios have operators 1 and 2 only")
-        lam_home = scenario.operator_density(plan.home_operator)
-        if lam_home <= 0:
-            raise ConfigError(f"operator {plan.home_operator} has zero density")
-        r_max = truncation_radius(lam_home, params)
-        half = plan.half_width_m if plan.half_width_m is not None else r_max
-        if plan.enforce_radius and half < r_max * (1.0 - 1e-9):
-            raise ConfigError(
-                f"half_width_m {half:.1f} is below the truncation radius {r_max:.1f} m"
-            )
-        window = Window.square(half)
-        _guard_point_budget(scenario.lambda_total * window.area())
         desc = (
             f"two-op(lambda_total={scenario.lambda_total * 1e6:.6g}/km^2, "
             f"retain_a={scenario.retain_a!r}, retain_b={scenario.retain_b!r})"
         )
+        half = plan.half_width_m
+        if half is None:
+            half = truncation_radius(scenario.operator_density(plan.home_operator), params)
         # independent uniform marks split the mother PPP into independent blocks
-        return scenario.to_block_model(window), desc
-    raise ConfigError(
-        f"scenario must be a BlockModel, TwoOpSpec or Deployment, got {type(scenario).__name__}"
-    )
+        scenario = scenario.to_block_model(Window.square(half))
+    elif isinstance(scenario, BlockModel):
+        desc = scenario.to_text()
+    else:
+        raise ConfigError(
+            f"scenario must be a BlockModel, TwoOpSpec or Deployment, "
+            f"got {type(scenario).__name__}"
+        )
+    lam_home = scenario.operator_density(plan.home_operator)
+    if lam_home <= 0:
+        raise ConfigError(f"operator {plan.home_operator} has zero density")
+    window = scenario.window
+    if plan.enforce_radius:
+        r_max = truncation_radius(lam_home, params)
+        cx, cy = window.center()
+        margin = min(
+            cx - window.x_min, window.x_max - cx, cy - window.y_min, window.y_max - cy
+        )
+        if margin < r_max * (1.0 - 1e-9):
+            raise ConfigError(
+                f"window half-width {margin:.1f} m is below the truncation "
+                f"radius {r_max:.1f} m; enlarge the window"
+            )
+    _guard_point_budget(scenario.total_density() * window.area())
+    return scenario, desc
 
 
 def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:

@@ -19,13 +19,10 @@ import pytest
 from scipy import integrate
 
 import mmwshare as mw
-from mmwshare.analytic import (
-    exclusion_radius,
-    laplace_general,
-    laplace_two_op,
-    laplace_two_op_factors,
-)
+from mmwshare.analytic import exclusion_radius, laplace_general
 from mmwshare.montecarlo import median_rate_from_samples, rate_curve_from_samples
+
+from _two_op_oracle import laplace_two_op, laplace_two_op_factors
 
 KM2 = 1e6
 P = mw.PRESETS["paper-sec5"]

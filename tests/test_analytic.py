@@ -19,6 +19,8 @@ from mmwshare.analytic import (
     truncation_radius,
 )
 
+from _two_op_oracle import laplace_two_op, laplace_two_op_factors
+
 KM2 = 1e6
 P = mw.PRESETS["paper-sec5"]
 
@@ -222,6 +224,21 @@ def test_association_pdf_validation():
         association_pdf(spec, P, mw.OperatorSet.of(1), True, 0.0)
 
 
+def test_engine_entry_points_reject_a_deployment():
+    dep = mw.couple_two_operators(mw.fid_scenario(30.0 / KM2, 0.4), mw.Window.square(2000.0), 1)
+    one = mw.OperatorSet.of(1)
+    calls = [
+        lambda: mw.sinr_coverage(dep, P, [0.0, 10.0]),
+        lambda: mw.rate_coverage(dep, P, [1e8, 2e8]),
+        lambda: mw.median_rate(dep, P),
+        lambda: association_pdf(dep, P, one, True, 100.0),
+        lambda: mw.laplace_general(dep, P, one, True, 100.0, 1e8),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="BlockModel or TwoOpSpec"):
+            call()
+
+
 def test_truncation_radius_bounds_association_tail():
     lam = 30.0 / KM2
     r_max = truncation_radius(lam, P, tail_mass=1e-8)
@@ -246,13 +263,13 @@ def test_truncation_radius_bounds_association_tail():
 
 def test_laplace_is_one_at_s_zero():
     spec = mw.fid_scenario(30.0 / KM2, 0.4)
-    assert mw.laplace_two_op(spec, P, True, 100.0, 0.0, co_located=False) == 1.0
+    assert laplace_two_op(spec, P, True, 100.0, 0.0, co_located=False) == 1.0
     assert mw.laplace_general(spec, P, mw.OperatorSet.of(1), True, 100.0, 0.0) == 1.0
 
 
 def test_laplace_decreases_in_s():
     spec = mw.fid_scenario(30.0 / KM2, 0.4)
-    vals = [mw.laplace_two_op(spec, P, True, 100.0, s, co_located=False)
+    vals = [laplace_two_op(spec, P, True, 100.0, s, co_located=False)
             for s in (0.0, 1e7, 1e8, 1e9)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v <= 1.0 for v in vals[1:])
@@ -261,18 +278,18 @@ def test_laplace_decreases_in_s():
 def test_two_op_fast_path_equals_general_decomposition():
     spec = mw.TwoOpSpec(45.0 / KM2, 0.8, 0.3)
     for serving_los, r, s in [(True, 90.0, 2.0e8), (False, 160.0, 5.0e12)]:
-        shared = mw.laplace_two_op(spec, P, serving_los, r, s, co_located=True)
+        shared = laplace_two_op(spec, P, serving_los, r, s, co_located=True)
         general = mw.laplace_general(spec, P, mw.OperatorSet.of(1, 2), serving_los, r, s)
         assert shared == pytest.approx(general, rel=1e-10)
-        solo = mw.laplace_two_op(spec, P, serving_los, r, s, co_located=False)
+        solo = laplace_two_op(spec, P, serving_los, r, s, co_located=False)
         general1 = mw.laplace_general(spec, P, mw.OperatorSet.of(1), serving_los, r, s)
         assert solo == pytest.approx(general1, rel=1e-10)
 
 
 def test_laplace_factors_multiply_to_transform():
     spec = mw.TwoOpSpec(45.0 / KM2, 0.8, 0.3)
-    f = mw.analytic.laplace_two_op_factors(spec, P, True, 110.0, 3.0e8)
-    val = mw.laplace_two_op(spec, P, True, 110.0, 3.0e8, co_located=False)
+    f = laplace_two_op_factors(spec, P, True, 110.0, 3.0e8)
+    val = laplace_two_op(spec, P, True, 110.0, 3.0e8, co_located=False)
     assert len(f) == 4
     assert float(np.prod(f)) == pytest.approx(val, rel=1e-12)
 
@@ -291,7 +308,7 @@ def test_laplace_conditioned_on_los_serving_beats_nlos():
     # serving NLOS at the same distance implies a denser visible LOS field
     spec = mw.fid_scenario(30.0 / KM2, 0.4)
     s = 1.0e8
-    l_los = mw.laplace_two_op(spec, P, True, 120.0, s, co_located=False)
+    l_los = laplace_two_op(spec, P, True, 120.0, s, co_located=False)
     assert 0.0 < l_los < 1.0
 
 

@@ -310,6 +310,30 @@ def test_unknown_flag_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--fid", "0.4", "--sirn", "0:1:1", "--out", str(tmp_path)])
     assert exc.value.code == 2
+    # options that estimate and press never read are not accepted either
+    sites = tmp_path / "sites.csv"
+    for argv in (["estimate", "--deployment", str(sites), "--threads", "2"],
+                 ["press", "--deployment", str(sites), "--target-density", "10",
+                  "--preset", "paper-sec5"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--fid", "abc"],
+    ["simulate", "--fcd", "x"],
+    ["estimate", "--fid", "0.4x", "--window-km", "2"],
+    ["analyze", "--fid", "0.4", "--threads", "0"],
+], ids=["analyze-fid", "simulate-fcd", "estimate-fid", "analyze-threads"])
+def test_malformed_sharing_value_or_thread_count_exits_2_without_output(tmp_path, argv):
+    out = tmp_path / "out"
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects an option's value this way
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
 
 
 def test_no_command_loads_scipy(tmp_path):

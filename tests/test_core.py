@@ -163,10 +163,23 @@ def test_fcd_keeps_total_density(rho, lam0):
 
 
 def test_block_decomposition_drops_empty_blocks():
-    full = mw.fid_scenario(30.0 / KM2, 1.0).block_densities()
+    full = dict(mw.fid_scenario(30.0 / KM2, 1.0).blocks())
     assert set(full) == {mw.OperatorSet.of(1, 2)}
-    disjoint = mw.fid_scenario(30.0 / KM2, 0.0).block_densities()
+    disjoint = dict(mw.fid_scenario(30.0 / KM2, 0.0).blocks())
     assert set(disjoint) == {mw.OperatorSet.of(1), mw.OperatorSet.of(2)}
+
+
+@pytest.mark.parametrize("make", [mw.fid_scenario, mw.fcd_scenario], ids=["fid", "fcd"])
+@pytest.mark.parametrize("rho, subsets", [
+    (0.0, ["1", "2"]), (0.4, ["1", "2", "1;2"]), (1.0, ["1;2"]),
+], ids=["rho0", "rho0.4", "rho1"])
+def test_two_op_blocks_are_the_block_model_blocks(make, rho, subsets):
+    spec = make(30.0 / KM2, rho)
+    blocks = spec.blocks()
+    assert blocks == spec.to_block_model(mw.Window.square(1000.0)).blocks()
+    assert [sub for sub, _ in blocks] == [mw.OperatorSet.parse(s) for s in subsets]
+    assert all(lam > 0 for _, lam in blocks)
+    assert sum(lam for sub, lam in blocks if 1 in sub) == pytest.approx(spec.lambda_op1)
 
 
 def test_params_dict_round_trip():

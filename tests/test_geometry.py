@@ -263,6 +263,22 @@ def test_csv_write_read_write_is_byte_identical(tmp_path):
     assert "0.30000000000000004,333.3333333333333,1\n" in first.read_text()
 
 
+def test_csv_writer_blocks_match_a_row_by_row_reference(tmp_path):
+    # The reader ignores site_id, so only a byte comparison sees an id that
+    # slips at a block boundary.
+    n = 2 * geometry._WRITE_BLOCK_ROWS + 37
+    rng = np.random.default_rng(8)
+    xy = rng.uniform(0.0, 5000.0, size=(n, 2))
+    occ = rng.integers(1, 8, size=n).astype(np.uint16)
+    path = tmp_path / "sites.csv"
+    mw.write_deployment_csv(mw.Deployment(WIN, xy, occ), path)
+    texts = {1: "1", 2: "2", 3: "1;2", 4: "3", 5: "1;3", 6: "2;3", 7: "1;2;3"}
+    want = ["# window_m,0.0,5000.0,0.0,5000.0", "site_id,x_m,y_m,operators"]
+    for i in range(n):
+        want.append(f"{i},{float(xy[i, 0])!r},{float(xy[i, 1])!r},{texts[int(occ[i])]}")
+    assert path.read_text().split("\n") == want + [""]
+
+
 # ---------------------------------------------------------------------------
 # The grid search against SciPy's KD-tree (SciPy is a test oracle only)
 
