@@ -42,6 +42,7 @@ from .core import (
     OperatorSet,
     SystemParams,
     TwoOpSpec,
+    check_grid,
     load_factor,
     pool_size,
     rate_sinr_threshold,
@@ -86,43 +87,39 @@ def los_measure(density: float, beta: float, r):
 def nlos_measure(density: float, beta: float, r):
     """Expected NLOS sites within r; complements los_measure to pi*lam*r^2."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ConfigError("measure radius must be >= 0")
     val = np.pi * density * r**2 - los_measure(density, beta, r)
     return val if val.ndim else float(val)
 
 
-def exclusion_radius(params: SystemParams, r, serving_los: bool):
+def exclusion_radius(params: SystemParams, r, serving_los):
     """Closest possible opposite-link-type home site given the serving link.
 
     Defined by path-loss equality: the returned D satisfies
     c_other * D^(-alpha_other) = c_serving * r^(-alpha_serving), so any
     opposite-type site closer than D would have been the serving one.
+    ``serving_los`` is a bool or a bool array that broadcasts against r.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ConfigError("serving distance must be positive")
-    if serving_los:
-        val = (params.c_nlos / params.c_los) ** (1.0 / params.alpha_nlos) * r ** (
-            params.alpha_los / params.alpha_nlos
-        )
-    else:
-        val = (params.c_los / params.c_nlos) ** (1.0 / params.alpha_los) * r ** (
-            params.alpha_nlos / params.alpha_los
-        )
+    los, nlos = (params.c_los, params.alpha_los), (params.c_nlos, params.alpha_nlos)
+    # scalar exponents keep NumPy's exact sqrt/square for r ** 0.5 and r ** 2
+    val = np.where(serving_los, *((c_o / c_s) ** (1.0 / a_o) * r ** (a_s / a_o)
+                                  for (c_s, a_s), (c_o, a_o) in ((los, nlos), (nlos, los))))
     return val if val.ndim else float(val)
 
 
-def interference_kernel(params: SystemParams, s, t, los: bool):
+def interference_kernel(params: SystemParams, s, t, los):
     """Laplace transform of one interferer's fade*gain at distance t.
 
     E[exp(-s * c_tau * H * G_b * t^(-alpha_tau))] for Exp(1) H and the
-    Bernoulli beam gain: a two-term mixture over main/side lobes.
+    Bernoulli beam gain: a two-term mixture over main/side lobes.  ``los``
+    is a bool or a bool array that broadcasts against s and t.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    c = params.c_los if los else params.c_nlos
-    al = params.alpha_los if los else params.alpha_nlos
+    c = np.where(los, params.c_los, params.c_nlos)
+    al = np.where(los, params.alpha_los, params.alpha_nlos)
     pb = params.main_lobe_prob
     with np.errstate(divide="ignore", over="ignore"):
         x = s * c * t ** (-al)
@@ -245,21 +242,22 @@ def association_pdf(scenario, params: SystemParams, subset: OperatorSet, serving
     """
     if home_operator not in subset:
         raise ConfigError(f"association subset {subset} must contain operator {home_operator}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ConfigError("serving distance must be positive")
     lam_home = operator_density_of(scenario, home_operator)
     lam_sub = dict(scenario.blocks()).get(subset, 0.0)
+    val = _association_density(lam_sub, lam_home, params, np.asarray(r, dtype=float),
+                               serving_los, 0.0)
+    return val if val.ndim else float(val)
+
+
+def _association_density(lam_sub, lam_home: float, params: SystemParams, r: np.ndarray,
+                         serving_los, noise) -> np.ndarray:
+    """2*pi*lam_sub r p_tau(r) exp(-void exponent - noise), elementwise in r and serving_los."""
     beta = params.beta_per_m
     d = exclusion_radius(params, r, serving_los)
-    if serving_los:
-        expo = los_measure(lam_home, beta, r) + nlos_measure(lam_home, beta, d)
-        p = np.exp(-beta * r)
-    else:
-        expo = nlos_measure(lam_home, beta, r) + los_measure(lam_home, beta, d)
-        p = -np.expm1(-beta * r)
-    val = 2.0 * np.pi * lam_sub * r * p * np.exp(-expo)
-    return val if val.ndim else float(val)
+    expo = (los_measure(lam_home, beta, np.where(serving_los, r, d))
+            + nlos_measure(lam_home, beta, np.where(serving_los, d, r)))
+    p = np.where(serving_los, np.exp(-beta * r), -np.expm1(-beta * r))
+    return 2.0 * np.pi * lam_sub * r * p * np.exp(-expo - noise)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +509,7 @@ def _segments_general(blocks, params: SystemParams, r, serving_los,
     """
     r = np.asarray(r, dtype=float)[..., None, None]
     serving_los = np.asarray(serving_los, dtype=bool)[..., None, None]
-    d = np.where(serving_los, exclusion_radius(params, r, True),
-                 exclusion_radius(params, r, False))
+    d = exclusion_radius(params, r, serving_los)
     near = np.concatenate(np.broadcast_arrays(np.where(serving_los, r, d),
                                               np.where(serving_los, d, r)), axis=-1)
     home = np.array([[home_operator in subset] for subset, _ in blocks])
@@ -527,8 +524,7 @@ def _segments_general(blocks, params: SystemParams, r, serving_los,
 
 
 def laplace_general(scenario, params: SystemParams, subset: OperatorSet, serving_los: bool,
-                    r: float, s: float, home_operator: int = 1, *,
-                    epsabs: float = 1e-11, epsrel: float = 1e-9) -> float:
+                    r: float, s: float, home_operator: int = 1) -> float:
     """Interference Laplace transform, general block decomposition.
 
     Conditioned on serving the user from ``subset``'s LOS (or NLOS)
@@ -539,13 +535,11 @@ def laplace_general(scenario, params: SystemParams, subset: OperatorSet, serving
     """
     if home_operator not in subset:
         raise ConfigError(f"serving subset {subset} must contain operator {home_operator}")
-    if r <= 0:
-        raise ConfigError("serving distance must be positive")
     if s < 0:
         raise ConfigError("Laplace argument must be >= 0")
     operator_density_of(scenario, home_operator)  # rejects anything but a scenario
     segs = _segments_general(scenario.blocks(), params, r, serving_los, home_operator)
-    total = float(_exponent_each(segs, params, s, epsabs, epsrel).sum())
+    total = float(_exponent_each(segs, params, s, 1e-11, 1e-9).sum())
     co = interference_kernel(params, s, r, serving_los) ** (len(subset) - 1)
     return float(co * math.exp(-total))
 
@@ -654,9 +648,8 @@ _OUTER_KNEE = 1e-4
 
 
 def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
-                    home_operator: int, include_interference: bool, r_max: float,
-                    epsabs: float, epsrel: float, outer_epsabs: float,
-                    outer_epsrel: float) -> np.ndarray:
+                    home_operator: int, include_interference: bool,
+                    r_max: float) -> np.ndarray:
     """Coverage at every threshold: one adaptive integral over r in [0, r_max] each.
 
     Each integrand call gets the r nodes of every pending panel; those
@@ -667,7 +660,6 @@ def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
     blocks = scenario.blocks()
     home_k = np.array([len(sub) for sub, _ in blocks if home_operator in sub])
     home_lam = np.array([lam for sub, lam in blocks if home_operator in sub])
-    beta = params.beta_per_m
     q = r_max * _OUTER_KNEE
     y_span = math.log1p(r_max / q)
 
@@ -680,35 +672,29 @@ def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
         t_lin = np.tile(np.repeat(thresholds_lin[k], v.shape[1]), 2)
         s = t_lin * r ** np.where(los, params.alpha_los, params.alpha_nlos) / (
             np.where(los, params.c_los, params.c_nlos) * params.gain_main)
-        d = np.where(los, exclusion_radius(params, r, True), exclusion_radius(params, r, False))
-        expo = (los_measure(lam_home, beta, np.where(los, r, d))
-                + nlos_measure(lam_home, beta, np.where(los, d, r)))
-        p = np.where(los, np.exp(-beta * r), -np.expm1(-beta * r))
-        vals = 2.0 * np.pi * r * p * np.exp(-expo - params.sigma2 * s)
+        # the sub-block densities multiply in below, with the co-location factor
+        vals = _association_density(1.0, lam_home, params, r, los, params.sigma2 * s)
         vals[vals < 1e-300] = 0.0
         if include_interference:
             live = np.flatnonzero(vals)
             r, s, los = r[live], s[live], los[live]
             segs = _segments_general(blocks, params, r, los, home_operator)
-            expo = _exponent_each(segs, params, s[:, None, None], epsabs, epsrel)
-            u_r = np.where(los, interference_kernel(params, s, r, True),
-                           interference_kernel(params, s, r, False))
+            expo = _exponent_each(segs, params, s[:, None, None])
+            u_r = interference_kernel(params, s, r, los)
             vals[live] = (vals[live] * np.exp(-expo.reshape(live.size, -1).sum(axis=1))
                           * np.sum(home_lam * u_r[:, None] ** (home_k - 1), axis=1))
         else:
             vals *= lam_home
         return ((vals[:n] + vals[n:]) * q * y_span * stretch).reshape(v.shape)
 
-    vals = adaptive_gk21(integrand, 0.0, 1.0, thresholds_lin.size, epsabs=outer_epsabs,
-                         epsrel=outer_epsrel, max_panels=200)
+    vals = adaptive_gk21(integrand, 0.0, 1.0, thresholds_lin.size, epsabs=1e-7, epsrel=1e-6,
+                         max_panels=200)
     return np.clip(vals, 0.0, 1.0)
 
 
 def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
                      home_operator: int = 1, *, include_interference: bool = True,
-                     workers: int = 1, epsabs: float = 1e-9, epsrel: float = 1e-7,
-                     outer_epsabs: float = 1e-7, outer_epsrel: float = 1e-6,
-                     tail_mass: float = 1e-8) -> np.ndarray:
+                     workers: int = 1) -> np.ndarray:
     """Coverage at linear SINR thresholds.
 
     With workers > 1 the grid is split into contiguous chunks, one per
@@ -720,16 +706,12 @@ def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
             "the analytic engine supports Rayleigh fading only; "
             "use the Monte Carlo simulator for other fading models"
         )
-    thresholds_lin = np.asarray(thresholds_lin, dtype=float)
-    if np.any(thresholds_lin < 0):
-        raise ConfigError("SINR thresholds must be >= 0 in linear scale")
     lam_home = operator_density_of(scenario, home_operator)
     if lam_home <= 0:
         raise ConfigError(f"operator {home_operator} has zero density")
     run = partial(_coverage_chunk, scenario=scenario, params=params,
                   home_operator=home_operator, include_interference=include_interference,
-                  r_max=truncation_radius(lam_home, params, tail_mass), epsabs=epsabs,
-                  epsrel=epsrel, outer_epsabs=outer_epsabs, outer_epsrel=outer_epsrel)
+                  r_max=truncation_radius(lam_home, params))
     chunks = np.array_split(thresholds_lin, pool_size(workers, thresholds_lin.size))
     if len(chunks) == 1:
         return run(thresholds_lin)
@@ -737,48 +719,49 @@ def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
         return np.concatenate(list(pool.map(run, chunks)))
 
 
-def sinr_coverage(scenario, params: SystemParams, thresholds_db, home_operator: int = 1,
-                  **kwargs) -> CoverageCurve:
-    """P(SINR > T) over a strictly increasing grid of thresholds in dB."""
-    thr_db = np.asarray(thresholds_db, dtype=float).reshape(-1)
-    if thr_db.size == 0 or np.any(np.diff(thr_db) <= 0):
-        raise ConfigError("thresholds must be a non-empty strictly increasing grid")
-    probs = _coverage_linear(scenario, params, 10.0 ** (thr_db / 10.0), home_operator,
-                             **kwargs)
+def _coverage_curve(scenario, params: SystemParams, values, unit: str, home_operator: int,
+                    include_interference: bool, workers: int) -> CoverageCurve:
+    """The analytic curve over SINR thresholds in dB (unit "db") or rates (unit "bps")."""
+    grid = check_grid(values, unit)
+    lam_home = operator_density_of(scenario, home_operator)
+    thresholds_lin = (10.0 ** (grid / 10.0) if unit == "db"
+                      else rate_sinr_threshold(grid, params, lam_home))
+    probs = _coverage_linear(scenario, params, thresholds_lin, home_operator,
+                             include_interference=include_interference, workers=workers)
     # independent quadratures can wiggle below resolution; tidy for the curve
     probs = np.minimum.accumulate(np.round(probs, 12))
-    return CoverageCurve(thr_db, probs, kind="analytic", unit="db")
+    return CoverageCurve(grid, probs, kind="analytic", unit=unit)
 
 
-def rate_coverage(scenario, params: SystemParams, rates_bps, home_operator: int = 1,
-                  **kwargs) -> CoverageCurve:
+def sinr_coverage(scenario, params: SystemParams, thresholds_db, home_operator: int = 1, *,
+                  include_interference: bool = True, workers: int = 1) -> CoverageCurve:
+    """P(SINR > T) over a strictly increasing grid of thresholds in dB."""
+    return _coverage_curve(scenario, params, thresholds_db, "db", home_operator,
+                           include_interference, workers)
+
+
+def rate_coverage(scenario, params: SystemParams, rates_bps, home_operator: int = 1, *,
+                  include_interference: bool = True, workers: int = 1) -> CoverageCurve:
     """P(Rate > R): rate targets map to SINR thresholds via the load model."""
-    rates = np.asarray(rates_bps, dtype=float).reshape(-1)
-    if rates.size == 0 or np.any(np.diff(rates) <= 0) or np.any(rates < 0):
-        raise ConfigError("rates must be a non-empty strictly increasing grid of >= 0 values")
-    lam_home = operator_density_of(scenario, home_operator)
-    thr_lin = np.array([rate_sinr_threshold(rr, params, lam_home) for rr in rates])
-    probs = _coverage_linear(scenario, params, thr_lin, home_operator, **kwargs)
-    probs = np.minimum.accumulate(np.round(probs, 12))
-    return CoverageCurve(rates, probs, kind="analytic", unit="bps")
+    return _coverage_curve(scenario, params, rates_bps, "bps", home_operator,
+                           include_interference, workers)
 
 
 def median_rate(scenario, params: SystemParams, home_operator: int = 1, *,
-                sinr_cap: float = 1e4, rtol: float = 1e-3, **kwargs) -> float:
+                rtol: float = 1e-3) -> float:
     """The rate R solving P(Rate > R) = 1/2, by bracketed root finding.
 
     Raises NumericalError when the coverage curve does not cross 1/2
-    below the rate equivalent of ``sinr_cap``.
+    below the rate equivalent of an SINR of 1e4 (40 dB).
     """
     lam_home = operator_density_of(scenario, home_operator)
     n_u = load_factor(params, lam_home)
 
     def excess(rate_bps: float) -> float:
         thr = rate_sinr_threshold(rate_bps, params, lam_home)
-        p = _coverage_linear(scenario, params, np.array([thr]), home_operator, **kwargs)
-        return float(p[0]) - 0.5
+        return float(_coverage_linear(scenario, params, np.array([thr]), home_operator)[0]) - 0.5
 
-    hi = params.bandwidth_hz * math.log2(1.0 + sinr_cap) / n_u
+    hi = params.bandwidth_hz * math.log2(1.0 + 1e4) / n_u
     if excess(hi) >= 0.0:
         raise NumericalError(
             f"median rate not bracketed: coverage still >= 0.5 at {hi:.3e} bps"

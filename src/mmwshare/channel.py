@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FadingSpec, SystemParams
+from .core import ConfigError, DataError, FadingSpec, SystemParams
 from .geometry import Deployment
 
 
@@ -26,7 +26,7 @@ class LinkType(enum.IntEnum):
     NLOS = 1
 
 
-class HomeOperatorAbsent(RuntimeError):
+class HomeOperatorAbsent(DataError):
     """The home operator has no site in the deployment."""
 
 

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, estimation, geometry, montecarlo
-from .channel import HomeOperatorAbsent
 from .core import (
     KM2,
+    REFERENCE_PRESET,
     BlockModel,
     ConfigError,
     DataError,
@@ -28,18 +28,17 @@ from .core import (
     SystemParams,
     TwoOpSpec,
     Window,
+    check_seed,
     fcd_scenario,
     fid_scenario,
     load_blocks_file,
     load_params_file,
     params_to_dict,
-    PRESETS,
 )
 
 DEFAULT_LAMBDA0_PER_KM2 = 30.0
 DEFAULT_SINR_GRID = "-10:1:30"
 DEFAULT_RATE_GRID_MBPS = "25:25:500"
-_BARE = "__bare__"  # --fid / --fcd used without a value
 MAX_GRID_POINTS = 10_000  # per --sinr / --rates grid
 
 
@@ -81,14 +80,14 @@ def parse_rhos(text: str) -> tuple[float, ...]:
         raise ConfigError(f"--rhos expects comma-separated numbers, got {text!r}") from exc
     if any(not 0.0 <= v <= 1.0 for v in vals):
         raise ConfigError("--rhos values must lie in [0, 1]")
+    labels = [f"{v:g}" for v in vals]  # compare names its columns by these
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"--rhos values must differ in their labels ({','.join(labels)})")
     return vals
 
 
 def _load_params(args) -> SystemParams:
-    if args.preset not in PRESETS:
-        raise ConfigError(f"unknown preset {args.preset!r}; known: {sorted(PRESETS)}")
-    base = PRESETS[args.preset]
-    return base if args.params is None else load_params_file(args.params, base=base)
+    return REFERENCE_PRESET if args.params is None else load_params_file(args.params)
 
 
 def _worker_count(text: str) -> int:
@@ -101,47 +100,44 @@ def _worker_count(text: str) -> int:
     return n
 
 
-def _sharing_mode_and_rho(args) -> tuple[str | None, float | None]:
+def _lambda0_per_m2(km2: float) -> float:
+    """--lambda0 in SI units, checked in the per-km^2 units it was given in."""
+    if not (math.isfinite(km2) and km2 > 0):
+        raise ConfigError(f"--lambda0 must be a positive density per km^2, got {km2:g}")
+    return km2 / KM2
+
+
+def _sharing(args) -> tuple[str, float] | None:
+    """The mode and rho of ``--fid RHO`` or ``--fcd RHO``; None when neither is given."""
     if args.fid is not None and args.fcd is not None:
         raise ConfigError("--fid and --fcd are mutually exclusive")
-    mode = "fid" if args.fid is not None else "fcd" if args.fcd is not None else None
-    value = args.fid if mode == "fid" else args.fcd
-    rho = None
-    if value not in (None, _BARE):
-        try:
-            rho = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"--{mode} expects a number, got {value!r}") from exc
-    if args.rho is not None:
-        if rho is not None:
-            raise ConfigError("the sharing fraction was given twice (--rho and --fid/--fcd)")
-        rho = args.rho
-    return mode, rho
+    for mode in ("fid", "fcd"):
+        value = getattr(args, mode)
+        if value is not None:
+            try:
+                return mode, float(value)
+            except ValueError as exc:
+                raise ConfigError(f"--{mode} expects a number, got {value!r}") from exc
+    return None
 
 
-def _sharing_spec(mode: str | None, rho: float | None,
-                  lambda0_km2: float) -> tuple[TwoOpSpec, str, str]:
-    """The FID (default) or FCD scenario, its mode and ``rho=..., lambda0=...`` text."""
-    if rho is None:
-        raise ConfigError("give the sharing fraction: --rho X, --fid X or --fcd X")
-    mode = mode or "fid"
+def _sharing_spec(mode: str, rho: float, lambda0_km2: float) -> tuple[TwoOpSpec, str]:
+    """The FID or FCD scenario and its ``rho=..., lambda0=...`` text."""
     make = fid_scenario if mode == "fid" else fcd_scenario
-    return make(lambda0_km2 / KM2, rho), mode, f"rho={rho!r}, lambda0={lambda0_km2!r}/km^2"
+    return make(_lambda0_per_m2(lambda0_km2), rho), f"rho={rho!r}, lambda0={lambda0_km2!r}/km^2"
 
 
 def _resolve_scenario(args):
     """Returns (scenario, description). Exactly one scenario source allowed."""
-    mode, rho = _sharing_mode_and_rho(args)
+    sharing = _sharing(args)
     deployment_path = getattr(args, "deployment", None)
-    sources = sum(
-        [args.blocks is not None, deployment_path is not None, rho is not None or mode is not None]
-    )
+    sources = sum([args.blocks is not None, deployment_path is not None, sharing is not None])
     if sources == 0:
         raise ConfigError(
-            "no scenario given: use --blocks FILE, --rho X [--fid|--fcd], or --deployment FILE"
+            "no scenario given: use --blocks FILE, --fid X or --fcd X, or --deployment FILE"
         )
     if sources > 1:
-        raise ConfigError("--blocks, --rho/--fid/--fcd and --deployment are mutually exclusive")
+        raise ConfigError("--blocks, --fid/--fcd and --deployment are mutually exclusive")
     if args.blocks is not None:
         model = load_blocks_file(args.blocks)
         if getattr(args, "window_km", None) is not None:
@@ -151,8 +147,8 @@ def _resolve_scenario(args):
     if deployment_path is not None:
         dep = geometry.read_deployment_csv(deployment_path)
         return dep, f"deployment({deployment_path}, n_sites={dep.n_sites})"
-    spec, mode, text = _sharing_spec(mode, rho, args.lambda0)
-    return spec, f"{mode}({text})"
+    spec, text = _sharing_spec(*sharing, args.lambda0)
+    return spec, f"{sharing[0]}({text})"
 
 
 def _operator_density(scenario, operator: int = 1) -> float:
@@ -233,23 +229,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    mode, rho = _sharing_mode_and_rho(args)
+    sharing = _sharing(args)
     bins = parse_bins(args.bins) if args.bins else estimation.DEFAULT_BIN_COUNTS
     if args.deployment is not None:
-        if rho is not None or mode is not None:
-            raise ConfigError("--deployment and --rho/--fid/--fcd are mutually exclusive")
+        if sharing is not None:
+            raise ConfigError("--deployment and --fid/--fcd are mutually exclusive")
         dep = geometry.read_deployment_csv(args.deployment)
         source = f"deployment({args.deployment})"
-    elif rho is not None or mode is not None:
+    elif sharing is not None:
         # synthetic round trip: sample a coupled deployment, then estimate
-        spec, mode, text = _sharing_spec(mode, rho, args.lambda0)
+        spec, text = _sharing_spec(*sharing, args.lambda0)
         if args.window_km is None:
             raise ConfigError("synthetic estimation needs --window-km for the sampling window")
+        check_seed(args.seed)
         window = Window.square(args.window_km * 1000.0 / 2.0)
         dep = geometry.couple_two_operators(spec, window, args.seed)
-        source = f"synthetic({mode}, {text}, seed={args.seed})"
+        source = f"synthetic({sharing[0]}, {text}, seed={args.seed})"
     else:
-        raise ConfigError("no data given: use --deployment FILE or --rho X --window-km W")
+        raise ConfigError("no data given: use --deployment FILE, or --fid X or --fcd X "
+                          "with --window-km W")
     if args.eps_coloc != 0:  # merge_colocated rejects NaN, infinities and negatives
         dep = estimation.merge_colocated(dep, args.eps_coloc)
     report = estimation.overlap_report(dep, bins)
@@ -288,7 +286,7 @@ def cmd_press(args) -> int:
 def cmd_compare(args) -> int:
     params = _load_params(args)
     rhos = parse_rhos(args.rhos) if args.rhos else (0.0, 0.4, 1.0)
-    lam0 = args.lambda0 / KM2
+    lam0 = _lambda0_per_m2(args.lambda0)
     rates = parse_grid(args.rates or DEFAULT_RATE_GRID_MBPS, "rates") * 1e6
     half_b = dataclasses.replace(params, bandwidth_hz=params.bandwidth_hz / 2.0)
     runs: list[tuple[str, object, SystemParams]] = []
@@ -339,8 +337,8 @@ def _add_common(p: argparse.ArgumentParser, engine: bool) -> None:
     """--out, plus the parameter and worker options of the commands that run an engine."""
     p.add_argument("--out", default=".", metavar="DIR", help="output directory")
     if engine:
-        p.add_argument("--preset", default="paper-sec5", help="named parameter preset")
-        p.add_argument("--params", metavar="FILE", help="JSON parameter overrides")
+        p.add_argument("--params", metavar="FILE",
+                       help="JSON parameter overrides of the paper-sec5 preset")
         p.add_argument("--threads", type=_worker_count, default=1,
                        help="worker process cap (at least 1)")
 
@@ -348,13 +346,10 @@ def _add_common(p: argparse.ArgumentParser, engine: bool) -> None:
 def _add_scenario(p: argparse.ArgumentParser, blocks: bool, deployment: bool) -> None:
     if blocks:
         p.add_argument("--blocks", metavar="FILE", help="JSON block-density table")
-    p.add_argument("--rho", type=float, help="sharing fraction in [0, 1]")
     p.add_argument("--lambda0", type=float, default=DEFAULT_LAMBDA0_PER_KM2, metavar="Y",
                    help=f"per-operator density per km^2 (default {DEFAULT_LAMBDA0_PER_KM2:g})")
-    p.add_argument("--fid", nargs="?", const=_BARE, metavar="RHO",
-                   help="fixed-individual-density sharing (optionally the rho value)")
-    p.add_argument("--fcd", nargs="?", const=_BARE, metavar="RHO",
-                   help="fixed-cumulative-density sharing (optionally the rho value)")
+    p.add_argument("--fid", metavar="RHO", help="fixed-individual-density sharing at rho")
+    p.add_argument("--fcd", metavar="RHO", help="fixed-cumulative-density sharing at rho")
     if deployment:
         p.add_argument("--deployment", metavar="FILE", help="site CSV to use as-is")
 
@@ -443,7 +438,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, HomeOperatorAbsent) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

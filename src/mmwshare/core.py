@@ -16,9 +16,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
+
+import numpy as np
 
 MAX_OPERATORS = 16
 
@@ -41,6 +43,13 @@ class NumericalError(RuntimeError):
 def pool_size(workers: int, chunks: int) -> int:
     """Worker processes to start: at most one per chunk of work and per CPU."""
     return max(1, min(workers, chunks, os.cpu_count() or 1))
+
+
+def check_seed(seed) -> None:
+    """ConfigError for a negative seed, alone or in a tuple (SeedSequence's ValueError)."""
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    if any(isinstance(v, (int, np.integer)) and v < 0 for v in parts):
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
 
 
 def db_to_linear(x_db: float) -> float:
@@ -436,16 +445,34 @@ def load_factor(params: SystemParams, lambda_op: float) -> float:
     return 1.0 + 1.28 * params.user_density_per_m2 / lambda_op
 
 
-def rate_sinr_threshold(rate_bps: float, params: SystemParams, lambda_op: float) -> float:
-    """SINR threshold equivalent to a rate target under equal time sharing.
+def rate_sinr_threshold(rate_bps, params: SystemParams, lambda_op: float):
+    """SINR threshold equivalent to a rate target under equal time sharing; elementwise.
 
     A user attains rate R when SINR > 2^(R*N_U/B) - 1, where N_U is the
     load factor of its home operator.
     """
-    if rate_bps < 0:
-        raise ConfigError(f"rate must be >= 0, got {rate_bps}")
+    rate = np.asarray(rate_bps, dtype=float)
+    if np.any(rate < 0):
+        raise ConfigError(f"rate must be >= 0, got {rate.min()}")
     n_u = load_factor(params, lambda_op)
-    return 2.0 ** (rate_bps * n_u / params.bandwidth_hz) - 1.0
+    # float_power takes libm's pow, as Python floats do, so an array's
+    # elements equal the scalar calls (an array ** may round differently)
+    val = np.float_power(2.0, rate * n_u / params.bandwidth_hz) - 1.0
+    return val if val.ndim else float(val)
+
+
+def check_grid(values, unit: str) -> np.ndarray:
+    """``values`` as a flat float array: SINR thresholds (unit "db") or rates ("bps").
+
+    Raises ConfigError unless the grid is non-empty and strictly
+    increasing, and for rates, >= 0.
+    """
+    grid = np.asarray(values, dtype=float).reshape(-1)
+    if grid.size == 0 or np.any(np.diff(grid) <= 0) or (unit == "bps" and np.any(grid < 0)):
+        raise ConfigError("rates must be a non-empty strictly increasing grid of >= 0 values"
+                          if unit == "bps" else
+                          "thresholds must be a non-empty strictly increasing grid")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +502,7 @@ PRESETS: dict[str, SystemParams] = {"paper-sec5": REFERENCE_PRESET}
 
 def params_to_dict(params: SystemParams) -> dict:
     """Human-unit dict mirroring SystemParams (inverse of params_from_dict)."""
-    d = {
+    return {
         "carrier_freq_ghz": params.carrier_freq_hz / 1e9,
         "bandwidth_mhz": params.bandwidth_hz / 1e6,
         "tx_power_dbm": 10.0 * math.log10(params.tx_power_w * 1e3),
@@ -490,42 +517,18 @@ def params_to_dict(params: SystemParams) -> dict:
         "gain_side_db": linear_to_db(params.gain_side),
         "half_beamwidth_deg": math.degrees(params.half_beamwidth_rad),
         "user_density_per_km2": params.user_density_per_m2 * KM2,
-        "fading": {
-            "kind": params.fading.kind,
-            "nakagami_m_los": params.fading.nakagami_m_los,
-            "nakagami_m_nlos": params.fading.nakagami_m_nlos,
-            "shadow_sigma_db_los": params.fading.shadow_sigma_db_los,
-            "shadow_sigma_db_nlos": params.fading.shadow_sigma_db_nlos,
-        },
+        "fading": asdict(params.fading),
     }
-    return d
-
-
-_FADING_KEYS = (
-    "kind",
-    "nakagami_m_los",
-    "nakagami_m_nlos",
-    "shadow_sigma_db_los",
-    "shadow_sigma_db_nlos",
-)
 
 
 def params_from_dict(data: Mapping, base: SystemParams | None = None) -> SystemParams:
     """Build SystemParams from a human-unit mapping.
 
-    Missing keys default to ``base`` (or to the "paper-sec5" preset when a
-    "preset" key names one, or to that preset by default).  Unknown keys are
-    rejected so typos fail loudly.
+    Missing keys default to ``base`` (the "paper-sec5" preset by default).
+    Unknown keys are rejected so typos fail loudly.
     """
     data = dict(data)
-    preset_name = data.pop("preset", None)
-    if preset_name is not None:
-        if preset_name not in PRESETS:
-            raise ConfigError(f"unknown preset {preset_name!r}; known: {sorted(PRESETS)}")
-        base = PRESETS[preset_name]
-    if base is None:
-        base = REFERENCE_PRESET
-    defaults = params_to_dict(base)
+    defaults = params_to_dict(REFERENCE_PRESET if base is None else base)
     fading_in = data.pop("fading", None)
     unknown = set(data) - set(defaults)
     if unknown:
@@ -535,18 +538,13 @@ def params_from_dict(data: Mapping, base: SystemParams | None = None) -> SystemP
     if fading_in is not None:
         if not isinstance(fading_in, Mapping):
             raise ConfigError("'fading' must be a mapping")
-        bad = set(fading_in) - set(_FADING_KEYS)
+        bad = set(fading_in) - set(fading_d)
         if bad:
             raise ConfigError(f"unknown fading keys: {sorted(bad)}")
         fading_d.update(fading_in)
     try:
-        fading = FadingSpec(
-            kind=str(fading_d["kind"]),
-            nakagami_m_los=float(fading_d["nakagami_m_los"]),
-            nakagami_m_nlos=float(fading_d["nakagami_m_nlos"]),
-            shadow_sigma_db_los=float(fading_d["shadow_sigma_db_los"]),
-            shadow_sigma_db_nlos=float(fading_d["shadow_sigma_db_nlos"]),
-        )
+        fading = FadingSpec(**{k: str(v) if k == "kind" else float(v)
+                               for k, v in fading_d.items()})
         return SystemParams(
             carrier_freq_hz=float(merged["carrier_freq_ghz"]) * 1e9,
             bandwidth_hz=float(merged["bandwidth_mhz"]) * 1e6,
@@ -570,17 +568,21 @@ def params_from_dict(data: Mapping, base: SystemParams | None = None) -> SystemP
         raise ConfigError(f"bad parameter value: {exc}") from exc
 
 
-def load_params_file(path: str | Path, base: SystemParams | None = None) -> SystemParams:
-    """Load a JSON parameter file overlaid on ``base`` (see params_from_dict)."""
+def _read_json_object(path: str | Path, what: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read params file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"params file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"params file {path} must hold a JSON object")
-    return params_from_dict(data, base=base)
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return data
+
+
+def load_params_file(path: str | Path, base: SystemParams | None = None) -> SystemParams:
+    """Load a JSON parameter file overlaid on ``base`` (see params_from_dict)."""
+    return params_from_dict(_read_json_object(path, "params"), base=base)
 
 
 def load_blocks_file(path: str | Path) -> BlockModel:
@@ -589,14 +591,7 @@ def load_blocks_file(path: str | Path) -> BlockModel:
     Schema: {"window_m": [x_min, x_max, y_min, y_max],
              "densities_per_km2": {"1": 10.0, "2": 10.0, "1;2": 5.0}}
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read blocks file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"blocks file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"blocks file {path} must hold a JSON object")
+    data = _read_json_object(path, "blocks")
     unknown = set(data) - {"window_m", "densities_per_km2"}
     if unknown:
         raise ConfigError(f"unknown blocks-file keys: {sorted(unknown)}")

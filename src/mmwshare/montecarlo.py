@@ -31,11 +31,13 @@ from .core import (
     SystemParams,
     TwoOpSpec,
     Window,
+    check_grid,
+    check_seed,
     load_factor,
     pool_size,
     rate_sinr_threshold,
 )
-from .geometry import Deployment, _guard_point_budget
+from .geometry import Deployment, _as_seed_sequence, _guard_point_budget
 
 _Z95 = 1.959963984540054
 
@@ -54,7 +56,7 @@ _SITES_PER_BATCH = 2**14
 class SimPlan:
     """Knobs of a simulation run.
 
-    seed may be an int or a tuple of ints (tuples let callers derive
+    seed may be an int >= 0 or a tuple of them (tuples let callers derive
     independent streams for related runs).  Replications run in fixed
     batches, each drawing from its own child stream of the seed, so the
     samples depend on the seed and the scenario but not on workers.
@@ -80,6 +82,7 @@ class SimPlan:
             raise ConfigError(
                 f"replications must lie in [1, {MAX_REPLICATIONS:.0e}], got {self.replications}"
             )
+        check_seed(self.seed)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.max_attempts < 1:
@@ -212,34 +215,25 @@ def wilson_halfwidth(successes, n: int, z: float = _Z95):
     return half if half.ndim else float(half)
 
 
-def _exceed_counts(samples: np.ndarray, thresholds_lin: np.ndarray) -> np.ndarray:
-    ordered = np.sort(samples)
-    return samples.size - np.searchsorted(ordered, thresholds_lin, side="right")
+def _empirical_curve(samples: np.ndarray, grid: np.ndarray, thresholds_lin,
+                     unit: str) -> CoverageCurve:
+    """The share of samples above each linear threshold, with Wilson half-widths."""
+    n = samples.size
+    k = n - np.searchsorted(np.sort(samples), thresholds_lin, side="right")
+    return CoverageCurve(grid, k / n, kind="empirical", unit=unit,
+                         ci_halfwidth=wilson_halfwidth(k, n))
 
 
 def sinr_curve_from_samples(samples: np.ndarray, thresholds_db) -> CoverageCurve:
-    thr_db = np.asarray(thresholds_db, dtype=float).reshape(-1)
-    if thr_db.size == 0 or np.any(np.diff(thr_db) <= 0):
-        raise ConfigError("thresholds must be a non-empty strictly increasing grid")
-    k = _exceed_counts(samples, 10.0 ** (thr_db / 10.0))
-    n = samples.size
-    return CoverageCurve(
-        thr_db, k / n, kind="empirical", unit="db", ci_halfwidth=wilson_halfwidth(k, n)
-    )
+    thr_db = check_grid(thresholds_db, "db")
+    return _empirical_curve(samples, thr_db, 10.0 ** (thr_db / 10.0), "db")
 
 
 def rate_curve_from_samples(samples: np.ndarray, rates_bps, params: SystemParams,
                             lambda_op: float) -> CoverageCurve:
     """P(Rate > R) from SINR samples via the mean-load rate mapping."""
-    rates = np.asarray(rates_bps, dtype=float).reshape(-1)
-    if rates.size == 0 or np.any(np.diff(rates) <= 0) or np.any(rates < 0):
-        raise ConfigError("rates must be a non-empty strictly increasing grid of >= 0 values")
-    thr = np.array([rate_sinr_threshold(rr, params, lambda_op) for rr in rates])
-    k = _exceed_counts(samples, thr)
-    n = samples.size
-    return CoverageCurve(
-        rates, k / n, kind="empirical", unit="bps", ci_halfwidth=wilson_halfwidth(k, n)
-    )
+    rates = check_grid(rates_bps, "bps")
+    return _empirical_curve(samples, rates, rate_sinr_threshold(rates, params, lambda_op), "bps")
 
 
 def median_rate_from_samples(samples: np.ndarray, params: SystemParams,
@@ -263,15 +257,12 @@ def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
             )
         return scenario, f"deployment(n_sites={scenario.n_sites})"
     if isinstance(scenario, TwoOpSpec):
-        if plan.home_operator not in (1, 2):
-            raise ConfigError("two-operator scenarios have operators 1 and 2 only")
         desc = (
             f"two-op(lambda_total={scenario.lambda_total * 1e6:.6g}/km^2, "
             f"retain_a={scenario.retain_a!r}, retain_b={scenario.retain_b!r})"
         )
-        half = plan.half_width_m
-        if half is None:
-            half = truncation_radius(scenario.operator_density(plan.home_operator), params)
+        lam_home = scenario.operator_density(plan.home_operator)  # raises unless 1 or 2
+        half = plan.half_width_m or truncation_radius(lam_home, params)
         # independent uniform marks split the mother PPP into independent blocks
         scenario = scenario.to_block_model(Window.square(half))
     elif isinstance(scenario, BlockModel):
@@ -309,8 +300,7 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
     thresholds = (
         DEFAULT_THRESHOLDS_DB if plan.thresholds_db is None else plan.thresholds_db
     )
-    seed = plan.seed if isinstance(plan.seed, (int, np.random.SeedSequence)) else tuple(plan.seed)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    root = _as_seed_sequence(plan.seed)
     sites = (scenario.n_sites if isinstance(scenario, Deployment)
              else scenario.total_density() * window.area())
     batch = max(1, int(_SITES_PER_BATCH // max(sites, 1.0)))

@@ -85,6 +85,13 @@ def test_exclusion_radius_solves_path_loss_equality():
         )
     # spot value for the reference preset: (0.1 * 100^2)^(1/4)
     assert mw.exclusion_radius(P, 100.0, True) == pytest.approx(1000.0**0.25, rel=1e-12)
+    # a link-type array broadcasts against r and gives the scalar calls' values exactly
+    r = np.geomspace(0.3, 3000.0, 13)[:, None]
+    los = np.array([True, False, True])
+    got = mw.exclusion_radius(P, r, los)
+    assert got.shape == (13, 3)
+    assert got.tolist() == [[mw.exclusion_radius(P, float(ri), bool(li)) for li in los]
+                            for ri in r[:, 0]]
 
 
 def test_interference_kernel_matches_quadrature():
@@ -104,6 +111,13 @@ def test_interference_kernel_matches_quadrature():
             part, _ = integrate.quad(integrand, 0, np.inf, args=(g,))
             want += pr * part
         assert mw.interference_kernel(P, s, t, los) == pytest.approx(want, rel=1e-9)
+    # a link-type array broadcasts against s and t and gives the scalar calls' values exactly
+    s, t = np.geomspace(1e3, 1e12, 9)[:, None], np.geomspace(2.0, 4000.0, 4)
+    los = np.array([True, False, False, True])
+    got = mw.interference_kernel(P, s, t, los)
+    assert got.shape == (9, 4)
+    assert got.tolist() == [[mw.interference_kernel(P, float(si), float(ti), bool(li))
+                             for ti, li in zip(t, los)] for si in s[:, 0]]
 
 
 def test_interference_kernel_limits():

@@ -1,7 +1,9 @@
 """Command-line interface: parsers, exit codes, output files."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,7 +14,7 @@ import pytest
 
 import mmwshare as mw
 from mmwshare import ConfigError
-from mmwshare.cli import main, parse_bins, parse_grid, parse_rhos
+from mmwshare.cli import build_parser, main, parse_bins, parse_grid, parse_rhos
 
 KM2 = 1e6
 
@@ -81,32 +83,28 @@ def test_scenario_flags_are_mutually_exclusive(tmp_path):
     assert code == 2
     code = main(["analyze", "--out", str(tmp_path)])  # no scenario at all
     assert code == 2
-    code = main(["analyze", "--fid", "--out", str(tmp_path)])  # bare, no rho
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:  # bare, no rho
+        main(["analyze", "--fid", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_analyze_params_file_overrides(tmp_path):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"bandwidth_mhz": 100.0}))
     out = tmp_path / "o"
-    code = main(["analyze", "--rho", "0", "--sinr", "0:10:10",
+    code = main(["analyze", "--fid", "0", "--sinr", "0:10:10",
                  "--params", str(params), "--out", str(out)])
     assert code == 0
     assert '"bandwidth_mhz": 100.0' in (out / "summary.txt").read_text()
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["analyze", "--rho", "0", "--params", str(bad),
+    assert main(["analyze", "--fid", "0", "--params", str(bad),
                  "--out", str(out)]) == 2
     typo = tmp_path / "typo.json"
     typo.write_text(json.dumps({"bandwidht_mhz": 100.0}))
-    assert main(["analyze", "--rho", "0", "--params", str(typo),
+    assert main(["analyze", "--fid", "0", "--params", str(typo),
                  "--out", str(out)]) == 2
-
-
-def test_unknown_preset_is_config_error(tmp_path):
-    assert main(["analyze", "--rho", "0", "--preset", "nosuch",
-                 "--out", str(tmp_path)]) == 2
 
 
 def test_simulate_on_deployment_csv(tmp_path):
@@ -166,7 +164,7 @@ def test_simulate_missing_home_operator_is_data_error(tmp_path):
 
 def test_estimate_synthetic_round_trip(tmp_path):
     out = tmp_path / "est"
-    code = main(["estimate", "--rho", "0.5", "--window-km", "8",
+    code = main(["estimate", "--fid", "0.5", "--window-km", "8",
                  "--seed", "1", "--out", str(out)])
     assert code == 0
     report = (out / "overlap_report.txt").read_text()
@@ -176,8 +174,8 @@ def test_estimate_synthetic_round_trip(tmp_path):
     assert ladder[0] == "n_bins,rho_direct,rho_smoothed"
     assert len(ladder) > 2
     # synthetic sampling without a window is underspecified
-    assert main(["estimate", "--rho", "0.5", "--out", str(out)]) == 2
-    assert main(["estimate", "--rho", "0.5", "--window-km", "8",
+    assert main(["estimate", "--fid", "0.5", "--out", str(out)]) == 2
+    assert main(["estimate", "--fid", "0.5", "--window-km", "8",
                  "--bins", "5", "--out", str(out)]) == 2
 
 
@@ -310,11 +308,12 @@ def test_unknown_flag_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--fid", "0.4", "--sirn", "0:1:1", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    # options that estimate and press never read are not accepted either
+    # options a command does not read are not accepted either; --preset is gone
     sites = tmp_path / "sites.csv"
     for argv in (["estimate", "--deployment", str(sites), "--threads", "2"],
                  ["press", "--deployment", str(sites), "--target-density", "10",
-                  "--preset", "paper-sec5"]):
+                  "--preset", "paper-sec5"],
+                 ["analyze", "--fid", "0", "--preset", "paper-sec5"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
@@ -334,6 +333,59 @@ def test_malformed_sharing_value_or_thread_count_exits_2_without_output(tmp_path
         code = exc.code
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--fid", "0.4", "--reps", "10"],
+    ["compare", "--rhos", "1", "--reps", "10"],
+    ["estimate", "--fid", "0.4", "--window-km", "2"],
+], ids=["simulate", "compare", "estimate"])
+def test_negative_seed_exits_2_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_rejects_rhos_with_repeated_labels(tmp_path, capsys):
+    # both columns would carry one label, and the second run's numbers
+    with pytest.raises(ConfigError):
+        parse_rhos("0.1,0.10")
+    out = tmp_path / "out"
+    for rhos in ("0.1,0.10", "0,0", "1,0.4,1.0"):
+        assert main(["compare", "--rhos", rhos, "--reps", "10", "--out", str(out)]) == 2
+        assert "--rhos values must differ" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--fid", "0.4"],
+    ["simulate", "--fcd", "0.4", "--reps", "10"],
+    ["estimate", "--fid", "0.4", "--window-km", "2"],
+    ["compare", "--rhos", "1", "--reps", "10"],
+], ids=["analyze", "simulate", "estimate", "compare"])
+@pytest.mark.parametrize("value", ["-3", "0", "inf", "nan"])
+def test_bad_lambda0_is_reported_per_km2(tmp_path, capsys, argv, value):
+    out = tmp_path / "out"
+    assert main([*argv, f"--lambda0={value}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--lambda0 must be a positive density per km^2, got {value}" in err
+    assert not out.exists()
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| command | options |"):].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        command, options = row.strip("|").split("|")
+        documented[command.strip().strip("`")] = set(re.findall(r"--[a-z0-9-]+", options))
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actual = {name: {o for a in sub._actions for o in a.option_strings
+                     if o.startswith("--")} - {"--out", "--help"}
+              for name, sub in commands.choices.items()}
+    assert documented == actual
 
 
 def test_no_command_loads_scipy(tmp_path):

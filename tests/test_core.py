@@ -67,6 +67,18 @@ def test_rate_threshold_value():
     assert mw.rate_sinr_threshold(0.0, P, 30.0 / KM2) == 0.0
     with pytest.raises(ConfigError):
         mw.rate_sinr_threshold(-1.0, P, 30.0 / KM2)
+    # elementwise: an array gives its scalar calls' values exactly, in its shape,
+    # and a scalar call is the formula evaluated in Python floats
+    rates = np.linspace(0.0, 8e8, 161).reshape(7, 23)
+    got = mw.rate_sinr_threshold(rates, P, 30.0 / KM2)
+    assert got.shape == rates.shape
+    assert got.tolist() == [[mw.rate_sinr_threshold(float(r), P, 30.0 / KM2) for r in row]
+                            for row in rates]
+    n_u = mw.load_factor(P, 30.0 / KM2)
+    assert got.ravel().tolist() == [2.0 ** (float(r) * n_u / P.bandwidth_hz) - 1.0
+                                    for r in rates.ravel()]
+    with pytest.raises(ConfigError):
+        mw.rate_sinr_threshold(np.array([1e8, -1.0]), P, 30.0 / KM2)
 
 
 def test_operator_set_basics():
