@@ -308,15 +308,24 @@ def test_unknown_flag_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--fid", "0.4", "--sirn", "0:1:1", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    # options a command does not read are not accepted either; --preset is gone
+    # options a command does not read are not accepted either
     sites = tmp_path / "sites.csv"
     for argv in (["estimate", "--deployment", str(sites), "--threads", "2"],
                  ["press", "--deployment", str(sites), "--target-density", "10",
-                  "--preset", "paper-sec5"],
-                 ["analyze", "--fid", "0", "--preset", "paper-sec5"]):
+                  "--preset", "paper-sec5"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+def test_unknown_preset_is_config_error(tmp_path):
+    # there are no presets left; any --preset is a usage error before any work
+    out = tmp_path / "out"
+    for preset in ("nosuch", "paper-sec5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--fid", "0", "--preset", preset, "--out", str(out)])
+        assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
