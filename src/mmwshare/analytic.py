@@ -43,9 +43,9 @@ from .core import (
     SystemParams,
     TwoOpSpec,
     check_grid,
-    load_factor,
     pool_size,
     rate_sinr_threshold,
+    sinr_rate,
 )
 
 
@@ -201,7 +201,11 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENT_RTOL,
     raise NumericalError(f"root finding did not converge in {maxiter} iterations")
 
 
-def truncation_radius(lambda_home, params: SystemParams, tail_mass: float = 1e-8) -> float:
+#: Association-distance tail mass that truncation_radius leaves out by default.
+TAIL_MASS = 1e-8
+
+
+def truncation_radius(lambda_home, params: SystemParams, tail_mass: float = TAIL_MASS) -> float:
     """Radius beyond which the association-distance tail mass is < tail_mass.
 
     Uses closed-form void-probability bounds: the LOS tail is below
@@ -755,13 +759,12 @@ def median_rate(scenario, params: SystemParams, home_operator: int = 1, *,
     below the rate equivalent of an SINR of 1e4 (40 dB).
     """
     lam_home = operator_density_of(scenario, home_operator)
-    n_u = load_factor(params, lam_home)
 
     def excess(rate_bps: float) -> float:
         thr = rate_sinr_threshold(rate_bps, params, lam_home)
         return float(_coverage_linear(scenario, params, np.array([thr]), home_operator)[0]) - 0.5
 
-    hi = params.bandwidth_hz * math.log2(1.0 + 1e4) / n_u
+    hi = sinr_rate(1e4, params, lam_home)
     if excess(hi) >= 0.0:
         raise NumericalError(
             f"median rate not bracketed: coverage still >= 0.5 at {hi:.3e} bps"

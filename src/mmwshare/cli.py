@@ -100,11 +100,23 @@ def _worker_count(text: str) -> int:
     return n
 
 
+def _lambda0_km2(args) -> float:
+    """--lambda0 per km^2, or its default when it was not given."""
+    return DEFAULT_LAMBDA0_PER_KM2 if args.lambda0 is None else args.lambda0
+
+
 def _lambda0_per_m2(km2: float) -> float:
     """--lambda0 in SI units, checked in the per-km^2 units it was given in."""
     if not (math.isfinite(km2) and km2 > 0):
         raise ConfigError(f"--lambda0 must be a positive density per km^2, got {km2:g}")
     return km2 / KM2
+
+
+def _reject_unread(args, source: str, *flags: str) -> None:
+    """ConfigError for a flag that was given although ``source`` never reads it."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_"), None) is not None:
+            raise ConfigError(f"--{flag} does not apply to {source}")
 
 
 def _sharing(args) -> tuple[str, float] | None:
@@ -138,6 +150,8 @@ def _resolve_scenario(args):
         )
     if sources > 1:
         raise ConfigError("--blocks, --fid/--fcd and --deployment are mutually exclusive")
+    if sharing is None:
+        _reject_unread(args, "--blocks or --deployment", "lambda0")
     if args.blocks is not None:
         model = load_blocks_file(args.blocks)
         if getattr(args, "window_km", None) is not None:
@@ -147,7 +161,7 @@ def _resolve_scenario(args):
     if deployment_path is not None:
         dep = geometry.read_deployment_csv(deployment_path)
         return dep, f"deployment({deployment_path}, n_sites={dep.n_sites})"
-    spec, text = _sharing_spec(*sharing, args.lambda0)
+    spec, text = _sharing_spec(*sharing, _lambda0_km2(args))
     return spec, f"{sharing[0]}({text})"
 
 
@@ -234,17 +248,19 @@ def cmd_estimate(args) -> int:
     if args.deployment is not None:
         if sharing is not None:
             raise ConfigError("--deployment and --fid/--fcd are mutually exclusive")
+        _reject_unread(args, "--deployment", "lambda0", "seed", "window-km")
         dep = geometry.read_deployment_csv(args.deployment)
         source = f"deployment({args.deployment})"
     elif sharing is not None:
         # synthetic round trip: sample a coupled deployment, then estimate
-        spec, text = _sharing_spec(*sharing, args.lambda0)
+        spec, text = _sharing_spec(*sharing, _lambda0_km2(args))
         if args.window_km is None:
             raise ConfigError("synthetic estimation needs --window-km for the sampling window")
-        check_seed(args.seed)
+        seed = 0 if args.seed is None else args.seed
+        check_seed(seed)
         window = Window.square(args.window_km * 1000.0 / 2.0)
-        dep = geometry.couple_two_operators(spec, window, args.seed)
-        source = f"synthetic({sharing[0]}, {text}, seed={args.seed})"
+        dep = geometry.couple_two_operators(spec, window, seed)
+        source = f"synthetic({sharing[0]}, {text}, seed={seed})"
     else:
         raise ConfigError("no data given: use --deployment FILE, or --fid X or --fcd X "
                           "with --window-km W")
@@ -286,7 +302,7 @@ def cmd_press(args) -> int:
 def cmd_compare(args) -> int:
     params = _load_params(args)
     rhos = parse_rhos(args.rhos) if args.rhos else (0.0, 0.4, 1.0)
-    lam0 = _lambda0_per_m2(args.lambda0)
+    lam0 = _lambda0_per_m2(_lambda0_km2(args))
     rates = parse_grid(args.rates or DEFAULT_RATE_GRID_MBPS, "rates") * 1e6
     half_b = dataclasses.replace(params, bandwidth_hz=params.bandwidth_hz / 2.0)
     runs: list[tuple[str, object, SystemParams]] = []
@@ -346,8 +362,9 @@ def _add_common(p: argparse.ArgumentParser, engine: bool) -> None:
 def _add_scenario(p: argparse.ArgumentParser, blocks: bool, deployment: bool) -> None:
     if blocks:
         p.add_argument("--blocks", metavar="FILE", help="JSON block-density table")
-    p.add_argument("--lambda0", type=float, default=DEFAULT_LAMBDA0_PER_KM2, metavar="Y",
-                   help=f"per-operator density per km^2 (default {DEFAULT_LAMBDA0_PER_KM2:g})")
+    p.add_argument("--lambda0", type=float, metavar="Y",
+                   help=f"per-operator density per km^2 of --fid/--fcd "
+                        f"(default {DEFAULT_LAMBDA0_PER_KM2:g})")
     p.add_argument("--fid", metavar="RHO", help="fixed-individual-density sharing at rho")
     p.add_argument("--fcd", metavar="RHO", help="fixed-cumulative-density sharing at rho")
     if deployment:
@@ -386,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-coloc", type=float, default=estimation.DEFAULT_MERGE_EPS_M,
                    metavar="M", help="co-location merge radius in meters (0 disables)")
     p.add_argument("--bins", metavar="K1,K2,...", help="counting-grid sizes (perfect squares)")
-    p.add_argument("--seed", type=int, default=0, help="seed for synthetic sampling")
+    p.add_argument("--seed", type=int, help="seed for synthetic sampling (default 0)")
     p.add_argument("--window-km", type=float, metavar="W",
                    help="window side length (km) for synthetic sampling")
     p.set_defaults(func=cmd_estimate)
@@ -402,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="rate coverage of sharing modes vs single operator")
     _add_common(p, engine=True)
     p.add_argument("--rhos", metavar="R1,R2,...", help="sharing fractions (default 0,0.4,1)")
-    p.add_argument("--lambda0", type=float, default=DEFAULT_LAMBDA0_PER_KM2, metavar="Y",
+    p.add_argument("--lambda0", type=float, metavar="Y",
                    help=f"per-operator density per km^2 (default {DEFAULT_LAMBDA0_PER_KM2:g})")
     p.add_argument("--rates", metavar="LO:STEP:HI",
                    help=f"rate grid in Mbps (default {DEFAULT_RATE_GRID_MBPS})")

@@ -461,6 +461,11 @@ def rate_sinr_threshold(rate_bps, params: SystemParams, lambda_op: float):
     return val if val.ndim else float(val)
 
 
+def sinr_rate(sinr: float, params: SystemParams, lambda_op: float) -> float:
+    """Rate of a user at this SINR, B * log2(1 + SINR) / N_U: rate_sinr_threshold's inverse."""
+    return params.bandwidth_hz * math.log2(1.0 + sinr) / load_factor(params, lambda_op)
+
+
 def check_grid(values, unit: str) -> np.ndarray:
     """``values`` as a flat float array: SINR thresholds (unit "db") or rates ("bps").
 

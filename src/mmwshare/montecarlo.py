@@ -3,7 +3,11 @@
 Each replication draws fresh network geometry (for point-process
 scenarios), blockage labels, fades and interferer beam gains, then
 records the downlink SINR of a user served by the strongest home-network
-site.  Replications run in fixed batches whose size depends on the
+site.  It draws every site near the user but only the LOS sites beyond a
+near radius: LOS labelling is an independent thinning, so the far LOS
+sites are a Poisson process of their own, and the far NLOS sites it
+drops carry a mean interference bounded by NLOS_OMISSION_BOUND noise
+powers.  Replications run in fixed batches whose size depends on the
 scenario alone, and batch k draws from its own stream, the k-th child of
 the seed's SeedSequence.  Samples are therefore reproducible bit-for-bit
 for a given seed regardless of worker count.
@@ -20,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import CoverageCurve, truncation_radius
+from .analytic import TAIL_MASS, CoverageCurve, truncation_radius
 from .channel import sinr_batch
 from .core import (
     BlockModel,
@@ -33,9 +37,9 @@ from .core import (
     Window,
     check_grid,
     check_seed,
-    load_factor,
     pool_size,
     rate_sinr_threshold,
+    sinr_rate,
 )
 from .geometry import Deployment, _as_seed_sequence, _guard_point_budget
 
@@ -46,8 +50,8 @@ DEFAULT_THRESHOLDS_DB = np.arange(-10.0, 30.0 + 0.5, 1.0)
 #: Replications beyond this would hold more samples than memory allows.
 MAX_REPLICATIONS = 10**8
 
-# Expected sites per batch; a batch holds this many over the expected sites
-# of one replication (at least 1).  2**15 ran slower: its arrays page-fault
+# Expected sites drawn per batch; a batch holds this many over the expected
+# sites one replication draws, near sites plus far candidates (at least 1).  2**15 ran slower: its arrays page-fault
 # afresh in every batch.
 _SITES_PER_BATCH = 2**14
 
@@ -100,6 +104,8 @@ class RunReport:
     redraws: int
     home_operator: int
     half_width_m: float
+    near_radius_m: float
+    sites_per_rep: float
     fading: str
     include_interference: bool
     seed_text: str
@@ -112,6 +118,10 @@ class RunReport:
             f"redraws: {self.redraws}",
             f"home_operator: {self.home_operator}",
             f"half_width_m: {self.half_width_m!r}",
+            f"near_radius_m: {self.near_radius_m!r}",
+            f"far_field: LOS sites only; omitted mean NLOS interference <= "
+            f"{NLOS_OMISSION_BOUND:g} x noise power",
+            f"sites_per_rep: {self.sites_per_rep!r}",
             f"fading: {self.fading}",
             f"include_interference: {self.include_interference}",
             f"seed: {self.seed_text}",
@@ -128,54 +138,231 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# Batched sampling
+# Batched sampling: every site near the user, only the LOS sites beyond
 
-def _draw_batch(scenario, user, n: int, beta: float, home_operator: int, max_attempts: int,
-                rng: np.random.Generator):
-    """Sites of n replications, concatenated per replication.
+#: The far field omits at most this mean NLOS interference, in noise powers.
+NLOS_OMISSION_BOUND = 1e-5
 
-    Returns (distance to the user, LOS labels, occupants, segment starts,
-    redraws).  A BlockModel draws every block count of the batch in one
-    call; each replication without a home site redraws its counts, in
-    replication order, until it has one.  A Deployment is tiled n times.
+
+def _nlos_mean_power(params: SystemParams) -> float:
+    """Mean power of one NLOS interferer at 1 m: c_N * E[beam gain] * E[fade]."""
+    p = params.main_lobe_prob
+    fade = 1.0  # Exp(1) and Gamma(m, 1/m) have unit mean; shadowing adds its lognormal mean
+    if params.fading.kind == "nakagami-lognormal":
+        fade = math.exp(0.5 * (params.fading.shadow_sigma_db_nlos * math.log(10.0) / 10.0) ** 2)
+    return params.c_nlos * (p * params.gain_main + (1.0 - p) * params.gain_side) * fade
+
+
+def _near_radius(model: BlockModel, params: SystemParams, home_operator: int) -> float:
+    """Radius beyond which a replication of ``model`` draws only LOS sites.
+
+    The larger of two radii: the one where the mean interference of every
+    NLOS occupant beyond it, at most
+    2*pi*lam_occ*c_N*E[g]*E[h]*R^(2-alpha_N)/(alpha_N-2), falls to
+    NLOS_OMISSION_BOUND noise powers; and the one that holds a home site
+    but with probability TAIL_MASS, so that dropping far NLOS home sites
+    leaves the serving site alone.
     """
-    redraws = 0
-    if isinstance(scenario, Deployment):
-        occ = np.tile(scenario.occupants, n)
-        sizes = np.full(n, scenario.n_sites)
-        rel = np.tile((scenario.xy - user).T, n)
-    else:
-        blocks = scenario.blocks()
-        bits = np.array([sub.bits for sub, _ in blocks], dtype=np.uint16)
-        means = np.array([lam for _, lam in blocks]) * scenario.window.area()
-        home_blocks = (bits & (1 << (home_operator - 1))) != 0
-        counts = rng.poisson(means, (n, bits.size))
-        empty = np.flatnonzero(counts[:, home_blocks].sum(axis=1) == 0)
-        for _ in range(max_attempts - 1):
-            if not empty.size:
-                break
-            redraws += empty.size
-            counts[empty] = rng.poisson(means, (empty.size, bits.size))
-            empty = empty[counts[empty][:, home_blocks].sum(axis=1) == 0]
-        if empty.size:
-            raise NumericalError(
-                f"no home-operator site after {max_attempts} redraws; "
-                "the home density is too small for this window"
-            )
-        occ = np.repeat(np.tile(bits, n), counts.ravel())
-        sizes = counts.sum(axis=1)
-        w = scenario.window
-        rel = rng.random((2, occ.size))  # positions relative to the user
-        rel *= [[w.x_max - w.x_min], [w.y_max - w.y_min]]
-        rel += [[w.x_min - user[0]], [w.y_min - user[1]]]
+    lam_occ = sum(len(sub) * lam for sub, lam in model.blocks())
+    a = params.alpha_nlos - 2.0
+    r_nlos = (2.0 * math.pi * lam_occ * _nlos_mean_power(params)
+              / (a * NLOS_OMISSION_BOUND * params.sigma2)) ** (1.0 / a)
+    r_void = math.sqrt(-math.log(TAIL_MASS) / (math.pi * model.operator_density(home_operator)))
+    return max(r_nlos, r_void)
+
+
+def _distances(rel: np.ndarray) -> np.ndarray:
+    """Lengths of the columns of a (2, n) offset array, squared in place; 1 mm at least."""
     rel *= rel
     d = rel[0] + rel[1]
     np.sqrt(d, out=d)  # np.hypot is 10x slower here
     np.maximum(d, 1e-3, out=d)
-    los = rng.random(d.size) < np.exp(d * -beta)
-    starts = np.zeros(n, dtype=np.int64)
+    return d
+
+
+def _append_far(d, los, occ, sizes, rep, far_d, far_occ):
+    """Per-replication arrays with LOS far sites appended to their replication's segment."""
+    at = np.cumsum(sizes)[rep]
+    return (np.insert(d, at, far_d), np.insert(los, at, True), np.insert(occ, at, far_occ),
+            sizes + np.bincount(rep, minlength=sizes.size))
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    starts = np.zeros(sizes.size, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
-    return d, los, occ, starts, redraws
+    return starts
+
+
+@dataclass(frozen=True, eq=False)
+class _PoissonField:
+    """A BlockModel's sites as the user at the window center sees them.
+
+    The near rectangle is the square of half-width ``radius`` about the
+    user, clipped to the window.  Its sites are drawn whole: Poisson block
+    counts, uniform positions, LOS with probability exp(-beta*d).  Beyond
+    it only the LOS sites are drawn, which form a PPP of density
+    lam*exp(-beta*d): candidates at lam*exp(-beta*radius) over the window,
+    kept outside the near rectangle with probability exp(-beta*(d-radius)).
+    When the rectangle is the whole window, this is the whole-window draw.
+    """
+
+    bits: np.ndarray        # occupant mask of each block
+    near_means: np.ndarray  # expected sites of each block in the near rectangle
+    near_lo: np.ndarray     # (2, 1) lower-left corner of the near rectangle, user-relative
+    near_span: np.ndarray   # (2, 1) its extent
+    far_means: np.ndarray | None  # expected far candidates per block; None: no far region
+    win_lo: np.ndarray
+    win_span: np.ndarray
+    radius: float
+    beta: float
+    home_blocks: np.ndarray
+    max_attempts: int
+
+    @classmethod
+    def build(cls, model: BlockModel, params: SystemParams, plan: "SimPlan") -> "_PoissonField":
+        w = model.window
+        ux, uy = w.center()
+        radius = _near_radius(model, params, plan.home_operator)
+        x0, x1 = max(w.x_min, ux - radius), min(w.x_max, ux + radius)
+        y0, y1 = max(w.y_min, uy - radius), min(w.y_max, uy + radius)
+        bits = np.array([sub.bits for sub, _ in model.blocks()], dtype=np.uint16)
+        lam = np.array([lam for _, lam in model.blocks()])
+        covered = (x0, x1, y0, y1) == (w.x_min, w.x_max, w.y_min, w.y_max)
+        return cls(
+            bits=bits,
+            near_means=lam * ((x1 - x0) * (y1 - y0)),
+            near_lo=np.array([[x0 - ux], [y0 - uy]]),
+            near_span=np.array([[x1 - x0], [y1 - y0]]),
+            far_means=None if covered else lam * (math.exp(-params.beta_per_m * radius) * w.area()),
+            win_lo=np.array([[w.x_min - ux], [w.y_min - uy]]),
+            win_span=np.array([[w.x_max - w.x_min], [w.y_max - w.y_min]]),
+            radius=radius,
+            beta=params.beta_per_m,
+            home_blocks=(bits & (1 << (plan.home_operator - 1))) != 0,
+            max_attempts=plan.max_attempts,
+        )
+
+    def sites(self) -> float:
+        """Expected sites drawn per replication: near sites plus far candidates."""
+        return float(self.near_means.sum() + (0.0 if self.far_means is None
+                                              else self.far_means.sum()))
+
+    def draw(self, n: int, rng: np.random.Generator):
+        """Sites of n replications, concatenated per replication.
+
+        Returns (distance to the user, LOS labels, occupants, segment
+        starts, redraws).  Every near block count of the batch comes from
+        one call; each replication without a home site in the near
+        rectangle redraws its near counts, in replication order, until it
+        has one.
+        """
+        nb = self.bits.size
+        counts = rng.poisson(self.near_means, (n, nb))
+        empty = np.flatnonzero(counts[:, self.home_blocks].sum(axis=1) == 0)
+        redraws = 0
+        for _ in range(self.max_attempts - 1):
+            if not empty.size:
+                break
+            redraws += empty.size
+            counts[empty] = rng.poisson(self.near_means, (empty.size, nb))
+            empty = empty[counts[empty][:, self.home_blocks].sum(axis=1) == 0]
+        if empty.size:
+            raise NumericalError(
+                f"no home-operator site after {self.max_attempts} redraws; "
+                "the home density is too small for this window"
+            )
+        occ = np.repeat(np.tile(self.bits, n), counts.ravel())
+        sizes = counts.sum(axis=1)
+        rel = rng.random((2, occ.size))
+        rel *= self.near_span
+        rel += self.near_lo
+        d = _distances(rel)
+        los = rng.random(d.size) < np.exp(d * -self.beta)
+        if self.far_means is not None:
+            counts = rng.poisson(self.far_means, (n, nb))
+            far_occ = np.repeat(np.tile(self.bits, n), counts.ravel())
+            rep = np.repeat(np.arange(n), counts.sum(axis=1))
+            rel = rng.random((2, far_occ.size))
+            rel *= self.win_span
+            rel += self.win_lo
+            keep = np.abs(rel).max(axis=0) > self.radius  # outside the near square
+            far_d = _distances(rel)
+            keep &= rng.random(far_d.size) < np.exp((far_d - self.radius) * -self.beta)
+            d, los, occ, sizes = _append_far(d, los, occ, sizes, rep[keep], far_d[keep],
+                                             far_occ[keep])
+        return d, los, occ, _starts(sizes), redraws
+
+
+def _skip_slots(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Each of range(total) independently with probability p, found by geometric skips."""
+    parts, last = [], -1
+    while last < total:
+        pos = last + np.cumsum(rng.geometric(p, int((total - last) * p * 1.1) + 16))
+        parts.append(pos)
+        last = int(pos[-1])
+    slots = np.concatenate(parts)
+    return slots[slots < total]
+
+
+@dataclass(frozen=True, eq=False)
+class _DeploymentField:
+    """A fixed deployment's sites as the user at the window center sees them.
+
+    The near set is the sites nearest the user, in file order, up to the
+    smallest radius that holds the nearest home site and leaves beyond it
+    a summed mean NLOS interference of at most NLOS_OMISSION_BOUND noise
+    powers.  It is drawn whole, LOS with probability exp(-beta*d).  Of the
+    far set only the LOS sites are drawn: a geometric skip through every
+    (replication, far site) slot at the largest far LOS probability p_max,
+    then acceptance with p_i/p_max.
+    """
+
+    near_d: np.ndarray
+    near_occ: np.ndarray
+    far_d: np.ndarray
+    far_occ: np.ndarray
+    far_accept: np.ndarray  # p_i / p_max
+    p_max: float
+    radius: float
+    beta: float
+
+    @classmethod
+    def build(cls, dep: Deployment, params: SystemParams, home_operator: int) -> "_DeploymentField":
+        beta = params.beta_per_m
+        d = _distances((dep.xy - dep.window.center()).T)
+        order = np.argsort(d, kind="stable")
+        ds, occ = d[order], dep.occupants[order]
+        nlos = (np.bitwise_count(occ) * -np.expm1(ds * -beta) * _nlos_mean_power(params)
+                * ds ** -params.alpha_nlos)
+        tail = np.append(np.cumsum(nlos[::-1])[::-1], 0.0)  # tail[k]: sites k, k+1, ...
+        # the near set ends at k: past the nearest home site, where the tail meets the bound
+        first = int(np.flatnonzero(occ & np.uint16(1 << (home_operator - 1)))[0]) + 1
+        k = first + int(np.argmax(tail[first:] <= NLOS_OMISSION_BOUND * params.sigma2))
+        p_far = np.exp(ds[k:] * -beta)
+        near, far = np.sort(order[:k]), order[k:][p_far > 0]  # exp underflow: never LOS
+        p_far = p_far[p_far > 0]
+        p_max = float(p_far[0]) if far.size else 1.0
+        return cls(d[near], dep.occupants[near], d[far], dep.occupants[far], p_far / p_max,
+                   p_max, float(ds[k - 1]), beta)
+
+    def sites(self) -> float:
+        """Expected sites drawn per replication: the near set plus far candidates."""
+        return self.near_d.size + self.far_d.size * self.p_max
+
+    def draw(self, n: int, rng: np.random.Generator):
+        """As _PoissonField.draw; a deployment never redraws."""
+        d = np.tile(self.near_d, n)
+        occ = np.tile(self.near_occ, n)
+        los = rng.random(d.size) < np.exp(d * -self.beta)
+        sizes = np.full(n, self.near_d.size)
+        n_far = self.far_d.size
+        if n_far:
+            slots = _skip_slots(n * n_far, self.p_max, rng)
+            slots = slots[rng.random(slots.size) < self.far_accept[slots % n_far]]
+            rep, site = np.divmod(slots, n_far)
+            d, los, occ, sizes = _append_far(d, los, occ, sizes, rep, self.far_d[site],
+                                             self.far_occ[site])
+        return d, los, occ, _starts(sizes), 0
 
 
 def _batch_stream(root: np.random.SeedSequence, k: int) -> np.random.Generator:
@@ -185,22 +372,20 @@ def _batch_stream(root: np.random.SeedSequence, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(child))
 
 
-def _run_batches(scenario, user, params: SystemParams, plan: SimPlan,
-                 root: np.random.SeedSequence, batch: int,
-                 ks: tuple[int, int]) -> tuple[np.ndarray, int]:
-    """SINR samples and redraw count of batches ks[0] <= k < ks[1]."""
-    parts, redraws = [], 0
+def _run_batches(field, params: SystemParams, plan: SimPlan, root: np.random.SeedSequence,
+                 batch: int, ks: tuple[int, int]) -> tuple[np.ndarray, int, int]:
+    """SINR samples, redraw count and sites drawn of batches ks[0] <= k < ks[1]."""
+    parts, redraws, sites = [], 0, 0
     for k in range(*ks):
         rng = _batch_stream(root, k)
         n = min(batch, plan.replications - k * batch)
-        d, los, occ, starts, extra = _draw_batch(
-            scenario, user, n, params.beta_per_m, plan.home_operator, plan.max_attempts, rng
-        )
+        d, los, occ, starts, extra = field.draw(n, rng)
         sinr, _ = sinr_batch(d, los, occ, starts, plan.home_operator, params, rng,
                              plan.include_interference)
         parts.append(sinr)
         redraws += extra
-    return np.concatenate(parts), redraws
+        sites += d.size
+    return np.concatenate(parts), redraws, sites
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +424,7 @@ def rate_curve_from_samples(samples: np.ndarray, rates_bps, params: SystemParams
 def median_rate_from_samples(samples: np.ndarray, params: SystemParams,
                              lambda_op: float) -> float:
     """Empirical median user rate; monotone transform of the median SINR."""
-    n_u = load_factor(params, lambda_op)
-    med = float(np.median(samples))
-    return params.bandwidth_hz * math.log2(1.0 + med) / n_u
+    return sinr_rate(float(np.median(samples)), params, lambda_op)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +484,13 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
         DEFAULT_THRESHOLDS_DB if plan.thresholds_db is None else plan.thresholds_db
     )
     root = _as_seed_sequence(plan.seed)
-    sites = (scenario.n_sites if isinstance(scenario, Deployment)
-             else scenario.total_density() * window.area())
-    batch = max(1, int(_SITES_PER_BATCH // max(sites, 1.0)))
+    if isinstance(scenario, Deployment):
+        field = _DeploymentField.build(scenario, params, plan.home_operator)
+    else:
+        field = _PoissonField.build(scenario, params, plan)
+    batch = max(1, int(_SITES_PER_BATCH // max(field.sites(), 1.0)))
     n_batches = -(-plan.replications // batch)
-    run = partial(_run_batches, scenario, window.center(), params, plan, root, batch)
+    run = partial(_run_batches, field, params, plan, root, batch)
     n_workers = pool_size(plan.workers, n_batches)
     if n_workers > 1:
         bounds = np.linspace(0, n_batches, n_workers + 1).astype(int).tolist()
@@ -313,8 +498,9 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
             parts = list(pool.map(run, zip(bounds[:-1], bounds[1:])))
         samples = np.concatenate([p[0] for p in parts])
         redraws = sum(p[1] for p in parts)
+        sites = sum(p[2] for p in parts)
     else:
-        samples, redraws = run((0, n_batches))
+        samples, redraws, sites = run((0, n_batches))
     curve = sinr_curve_from_samples(samples, thresholds)
     cx, cy = window.center()
     half = min(window.x_max - cx, window.y_max - cy)
@@ -324,6 +510,8 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
         redraws=redraws,
         home_operator=plan.home_operator,
         half_width_m=float(half),
+        near_radius_m=field.radius,
+        sites_per_rep=sites / plan.replications,
         fading=params.fading.kind,
         include_interference=plan.include_interference,
         seed_text=repr(plan.seed),

@@ -382,6 +382,33 @@ def test_bad_lambda0_is_reported_per_km2(tmp_path, capsys, argv, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, argv, flag", [
+    ("blocks", ["analyze", "--lambda0", "30", "--sinr", "0:10:10"], "--lambda0"),
+    ("blocks", ["analyze", "--lambda0", "-3", "--sinr", "0:10:10"], "--lambda0"),
+    ("blocks", ["simulate", "--lambda0", "30", "--reps", "10"], "--lambda0"),
+    ("deployment", ["simulate", "--lambda0", "30", "--reps", "10"], "--lambda0"),
+    ("deployment", ["estimate", "--lambda0", "30"], "--lambda0"),
+    ("deployment", ["estimate", "--seed", "1"], "--seed"),
+    ("deployment", ["estimate", "--seed", "-1"], "--seed"),
+    ("deployment", ["estimate", "--window-km", "2"], "--window-km"),
+], ids=["analyze-blocks", "analyze-blocks-bad", "simulate-blocks", "simulate-deployment",
+        "estimate-lambda0", "estimate-seed", "estimate-bad-seed", "estimate-window"])
+def test_flags_the_scenario_source_never_reads_exit_2_without_output(tmp_path, capsys, source,
+                                                                    argv, flag):
+    if source == "blocks":
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"window_m": [-3300.0, 3300.0, -3300.0, 3300.0],
+                                    "densities_per_km2": {"1": 30.0}}))
+    else:
+        path = tmp_path / "sites.csv"
+        mw.write_deployment_csv(mw.couple_two_operators(mw.fid_scenario(40e-6, 0.5),
+                                                        mw.Window.square(1000.0), 1), path)
+    out = tmp_path / "out"
+    assert main([*argv, f"--{source}", str(path), "--out", str(out)]) == 2
+    assert f"{flag} does not apply to" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_option_table_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme[readme.index("| command | options |"):].split("\n\n")[0]

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import mmwshare as mw
 from mmwshare import ConfigError
+from mmwshare.core import sinr_rate
 
 KM2 = 1e6
 P = mw.PRESETS["paper-sec5"]
@@ -79,6 +80,9 @@ def test_rate_threshold_value():
                                     for r in rates.ravel()]
     with pytest.raises(ConfigError):
         mw.rate_sinr_threshold(np.array([1e8, -1.0]), P, 30.0 / KM2)
+    # sinr_rate inverts it, as the formula in Python floats
+    assert sinr_rate(thr, P, 30.0 / KM2) == pytest.approx(100e6, rel=1e-12)
+    assert sinr_rate(7.0, P, 30.0 / KM2) == P.bandwidth_hz * math.log2(8.0) / n_u
 
 
 def test_operator_set_basics():

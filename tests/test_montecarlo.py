@@ -1,5 +1,6 @@
 """Simulation driver: determinism, curve construction, failure modes."""
 
+import dataclasses
 import math
 import os
 
@@ -267,3 +268,140 @@ def test_huge_thread_counts_start_no_more_processes_than_cpus(monkeypatch):
     serial = mw.run_simulation(SPEC, P, SimPlan(replications=50, seed=1, thresholds_db=[0.0]))
     assert np.array_equal(res.sinr, serial.sinr)
     mw.sinr_coverage(SPEC, P, [0.0, 10.0], workers=5000)
+
+
+# ---------------------------------------------------------------------------
+# Near square plus LOS-only far field
+
+def _whole_window_draw(model, n, beta, home_operator, max_attempts, rng):
+    """Every site of the window, LOS with probability exp(-beta*d): the reference draw."""
+    bits = np.array([sub.bits for sub, _ in model.blocks()], dtype=np.uint16)
+    means = np.array([lam for _, lam in model.blocks()]) * model.window.area()
+    home = (bits & (1 << (home_operator - 1))) != 0
+    counts = rng.poisson(means, (n, bits.size))
+    empty, redraws = np.flatnonzero(counts[:, home].sum(axis=1) == 0), 0
+    for _ in range(max_attempts - 1):
+        if not empty.size:
+            break
+        redraws += empty.size
+        counts[empty] = rng.poisson(means, (empty.size, bits.size))
+        empty = empty[counts[empty][:, home].sum(axis=1) == 0]
+    assert not empty.size
+    occ = np.repeat(np.tile(bits, n), counts.ravel())
+    w, (ux, uy) = model.window, model.window.center()
+    x, y = rng.random((2, occ.size))
+    x, y = x * (w.x_max - w.x_min) + (w.x_min - ux), y * (w.y_max - w.y_min) + (w.y_min - uy)
+    d = np.maximum(np.sqrt(x * x + y * y), 1e-3)
+    los = rng.random(d.size) < np.exp(d * -beta)
+    starts = np.concatenate([[0], np.cumsum(counts.sum(axis=1))[:-1]])
+    return d, los, occ, starts, redraws, (x, y)
+
+
+@pytest.mark.parametrize("density", [30.0, 3.0], ids=["crowded", "sparse"])
+def test_near_square_covering_the_window_is_the_whole_window_draw(density):
+    # 100 m windows lie inside the ~620 m near square: no far field, and the
+    # counts, redraws, distances and labels are those of the whole window
+    model = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): density / KM2})
+    plan = SimPlan(enforce_radius=False, max_attempts=1000)
+    field = montecarlo._PoissonField.build(model, P, plan)
+    assert field.radius > 100.0 and field.far_means is None
+    got = field.draw(300, np.random.default_rng(17))
+    want = _whole_window_draw(model, 300, P.beta_per_m, 1, 1000, np.random.default_rng(17))
+    assert want[4] > 20
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_omitted_nlos_interference_is_below_the_closed_form_bound():
+    # full-window draws of the FID scenario: the NLOS occupants outside the
+    # near square carry, on average, less than the bound the radius was chosen for
+    model = SPEC.to_block_model(mw.Window.square(mw.truncation_radius(SPEC.lambda_op1, P)))
+    field = montecarlo._PoissonField.build(model, P, SimPlan())
+    assert field.far_means is not None
+    rng = np.random.default_rng(23)
+    n = 300
+    d, los, occ, starts, _, (x, y) = _whole_window_draw(model, n, P.beta_per_m, 1, 10, rng)
+    dropped = ~los & (np.maximum(np.abs(x), np.abs(y)) > field.radius)
+    k = np.bitwise_count(occ)[dropped]
+    power = np.repeat(P.c_nlos * d[dropped] ** -P.alpha_nlos, k)
+    power *= rng.standard_exponential(power.size) * mw.channel.sample_gain(P, rng, power.size)
+    bound = montecarlo.NLOS_OMISSION_BOUND * P.sigma2
+    assert 0.2 * bound < power.sum() / n < bound
+    # the dropped sites are most of the window's, as the speed-up needs
+    assert dropped.sum() > 0.9 * d.size
+
+
+def test_nlos_mean_power_matches_sampled_fades_and_gains():
+    rng = np.random.default_rng(29)
+    nlos = np.zeros(10**6, dtype=bool)
+    for params in (P, mw.params_from_dict({"fading": dataclasses.asdict(NAK)}, base=P)):
+        power = (P.c_nlos * mw.channel._sample_fading_mask(params.fading, nlos, rng)
+                 * mw.channel.sample_gain(params, rng, nlos.size))
+        assert power.mean() == pytest.approx(montecarlo._nlos_mean_power(params), rel=0.03)
+
+
+def _near_and_far_deployment():
+    # a home site 200 m out; a home site 2 km out and operator-2 sites at 1.5 km
+    xy = [[200.0, 0.0], [0.0, 2000.0], [1500.0, 0.0], [-1500.0, 0.0], [0.0, -1500.0]]
+    return mw.Deployment(mw.Window.square(2500.0), np.array(xy),
+                         np.array([1, 1, 2, 2, 2], dtype=np.uint16))
+
+
+def test_far_los_home_site_serves_when_it_beats_every_near_site():
+    params = dataclasses.replace(P, beta_per_m=1e-3)
+    field = montecarlo._DeploymentField.build(_near_and_far_deployment(), params, 1)
+    assert field.near_d.tolist() == [200.0] and field.radius == 200.0
+    n = 20000
+    d, los, occ, starts, _ = field.draw(n, np.random.default_rng(31))
+    _, serving = mw.channel.sinr_batch(d, los, occ, starts, 1, params,
+                                       np.random.default_rng(32))
+    far = np.flatnonzero(np.arange(d.size) != starts.repeat(np.diff(starts, append=d.size)))
+    assert np.all(los[far])
+    home_far = far[d[far] == 2000.0]
+    near_nlos = ~los[starts]
+    rep_of = np.searchsorted(starts, home_far, side="right") - 1
+    # a LOS site at 2 km (gain 2.5e-13) beats an NLOS one at 200 m (6.3e-17), not a LOS one
+    wins = near_nlos[rep_of]
+    assert 300 < wins.sum()
+    assert np.array_equal(np.isin(home_far, serving), wins)
+    alone = np.setdiff1d(np.arange(n), rep_of)
+    assert np.array_equal(serving[alone], starts[alone])
+    # at 1 /m no far site can be LOS (exp(-1500) is 0.0): the far set is empty
+    opaque = montecarlo._DeploymentField.build(_near_and_far_deployment(),
+                                               dataclasses.replace(P, beta_per_m=1.0), 1)
+    assert opaque.far_d.size == 0
+    assert np.array_equal(opaque.draw(3, np.random.default_rng(1))[3], [0, 1, 2])
+
+
+def test_deployment_thinning_keeps_far_sites_with_their_los_probability():
+    params = dataclasses.replace(P, beta_per_m=0.002)
+    dep = mw.couple_two_operators(mw.fid_scenario(40.0 / KM2, 0.5), mw.Window.square(2000.0),
+                                  seed=6)
+    field = montecarlo._DeploymentField.build(dep, params, 1)
+    assert field.far_d.size > 200 and field.p_max < 0.5
+    n = 4000
+    d, los, occ, starts, _ = field.draw(n, np.random.default_rng(37))
+    k = field.near_d.size
+    rank = np.arange(d.size) - starts.repeat(np.diff(starts, append=d.size))
+    assert np.all(np.diff(starts) >= k)
+    far = rank >= k
+    assert np.all(los[far])
+    order = np.argsort(field.far_d)
+    site = order[np.searchsorted(field.far_d[order], d[far])]
+    assert np.array_equal(field.far_d[site], d[far])
+    kept = np.bincount(site, minlength=field.far_d.size)
+    p = np.exp(-params.beta_per_m * field.far_d)
+    sd = np.sqrt(n * p * (1.0 - p))
+    assert np.all(np.abs(kept - n * p) <= 5.0 * sd + 1.0)
+    assert abs(kept.sum() - n * p.sum()) <= 4.0 * np.sqrt(np.sum(n * p * (1.0 - p)))
+
+
+def test_run_report_states_the_near_radius_and_sites_drawn():
+    res = mw.run_simulation(SPEC, P, SimPlan(replications=500, seed=4, thresholds_db=[0.0]))
+    text = res.report.to_text()
+    assert 600.0 < res.report.near_radius_m < 650.0
+    assert f"near_radius_m: {res.report.near_radius_m!r}" in text
+    assert "omitted mean NLOS interference <= 1e-05 x noise power" in text
+    # the near square holds ~66 sites; the whole window held ~1,842
+    assert 55.0 < res.report.sites_per_rep < 80.0
+    assert f"sites_per_rep: {res.report.sites_per_rep!r}" in text
