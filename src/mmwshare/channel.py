@@ -72,15 +72,35 @@ def sample_fading(spec: FadingSpec, link: LinkType, rng: np.random.Generator,
     return out if size is not None else float(out[0])
 
 
+_NEPER_PER_DB = np.log(10.0) / 10.0
+
+
+def _nakagami_lognormal(m: float, sigma_db: float, size: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """size draws of Gamma(m, 1/m) * exp(sigma_dB*ln(10)/10 * Z): gammas, then normals."""
+    h = rng.standard_gamma(m, size)
+    shadow = rng.standard_normal(size)
+    shadow *= sigma_db * _NEPER_PER_DB
+    np.exp(shadow, out=shadow)
+    shadow *= 1.0 / m
+    h *= shadow
+    return h
+
+
 def _sample_fading_mask(spec: FadingSpec, los: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One fade per entry of the LOS mask.
+
+    Nakagami-lognormal draws every entry with the NLOS parameters, then
+    fresh LOS draws for the LOS entries: a scalar Gamma shape per call
+    samples faster than an array of per-entry shapes.
+    """
     n = los.shape[0]
     if spec.kind == "rayleigh":
         return rng.standard_exponential(n)
-    m = np.where(los, spec.nakagami_m_los, spec.nakagami_m_nlos)
-    sigma = np.where(los, spec.shadow_sigma_db_los, spec.shadow_sigma_db_nlos)
-    small_scale = rng.gamma(m, 1.0 / m)
-    shadow_db = rng.normal(0.0, 1.0, n) * sigma
-    return small_scale * 10.0 ** (shadow_db / 10.0)
+    out = _nakagami_lognormal(spec.nakagami_m_nlos, spec.shadow_sigma_db_nlos, n, rng)
+    li = np.flatnonzero(los)
+    out[li] = _nakagami_lognormal(spec.nakagami_m_los, spec.shadow_sigma_db_los, li.size, rng)
+    return out
 
 
 @dataclass(frozen=True)
@@ -103,9 +123,15 @@ def sinr_batch(d: np.ndarray, los: np.ndarray, occupants: np.ndarray, starts: np
     and occupant bitmasks.  Every segment needs a home-operator site.
     Each segment is associated as in sinr_at_user; the draws are
     batch-wide: every serving fade, then every interferer fade, then
-    every interferer gain.  Returns (sinr, serving site index) per segment.
+    every interferer gain.  Rayleigh fades are one Exp(1) per link.
+    Nakagami-lognormal fades come in two rounds per group (serving,
+    interferers): Gamma(m_N) shapes then normals for every link of the
+    group, then Gamma(m_L) shapes and normals for its LOS links, which
+    replace their first-round fades.  Returns (sinr, serving site index)
+    per segment.
     """
-    # ~0.3% of sites are LOS: the NLOS gain everywhere, then patch LOS sites
+    # most sites are NLOS (about 90% of a Monte Carlo draw): the NLOS gain
+    # everywhere, then patch LOS sites
     ell = params.c_nlos * d ** (-params.alpha_nlos)
     li = np.flatnonzero(los)
     ell[li] = params.c_los * d[li] ** (-params.alpha_los)

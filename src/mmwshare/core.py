@@ -170,6 +170,14 @@ class Window:
         return Window(cx - hx, cx + hx, cy - hy, cy + hy)
 
 
+def _check_finite_at_least(obj, names: tuple[str, ...], low: float) -> None:
+    """ConfigError unless every named field of obj is finite and >= low (NaN is neither)."""
+    for name in names:
+        val = getattr(obj, name)
+        if not (math.isfinite(val) and val >= low):
+            raise ConfigError(f"{name} must be finite and >= {low:g}, got {val!r}")
+
+
 @dataclass(frozen=True)
 class FadingSpec:
     """Small-scale fading model for link power.
@@ -189,10 +197,8 @@ class FadingSpec:
     def __post_init__(self):
         if self.kind not in ("rayleigh", "nakagami-lognormal"):
             raise ConfigError(f"unknown fading kind {self.kind!r}")
-        if min(self.nakagami_m_los, self.nakagami_m_nlos) < 0.5:
-            raise ConfigError("Nakagami m must be >= 0.5")
-        if min(self.shadow_sigma_db_los, self.shadow_sigma_db_nlos) < 0.0:
-            raise ConfigError("shadowing sigma_dB must be >= 0")
+        _check_finite_at_least(self, ("nakagami_m_los", "nakagami_m_nlos"), 0.5)
+        _check_finite_at_least(self, ("shadow_sigma_db_los", "shadow_sigma_db_nlos"), 0.0)
 
 
 RAYLEIGH = FadingSpec()
@@ -245,8 +251,7 @@ class SystemParams:
         for name, val in pos.items():
             if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
                 raise ConfigError(f"{name} must be a positive finite number, got {val!r}")
-        if self.noise_figure_db < 0:
-            raise ConfigError("noise_figure_db must be >= 0")
+        _check_finite_at_least(self, ("noise_figure_db", "user_density_per_m2"), 0.0)
         if not (self.c_los >= self.c_nlos > 0):
             raise ConfigError("path-gain intercepts must satisfy c_los >= c_nlos > 0")
         if not 1.0 <= self.alpha_los <= self.alpha_nlos:
@@ -257,8 +262,6 @@ class SystemParams:
             raise ConfigError("antenna gains must satisfy G >= g > 0")
         if not 0.0 < self.half_beamwidth_rad <= math.pi:
             raise ConfigError("half_beamwidth_rad must lie in (0, pi]")
-        if self.user_density_per_m2 < 0:
-            raise ConfigError("user_density_per_m2 must be >= 0")
 
     @property
     def sigma2(self) -> float:

@@ -7,10 +7,14 @@ site.  It draws every site near the user but only the LOS sites beyond a
 near radius: LOS labelling is an independent thinning, so the far LOS
 sites are a Poisson process of their own, and the far NLOS sites it
 drops carry a mean interference bounded by NLOS_OMISSION_BOUND noise
-powers.  Replications run in fixed batches whose size depends on the
-scenario alone, and batch k draws from its own stream, the k-th child of
-the seed's SeedSequence.  Samples are therefore reproducible bit-for-bit
-for a given seed regardless of worker count.
+powers.  Since the SINR depends on the sites' distances alone, a point
+process whose near disc lies inside the window is drawn by distance: the
+near disc's sites at i.i.d. distances of density 2r/R^2, the far LOS
+sites from their radial law.  Replications run in fixed batches whose
+size depends on the scenario alone, and batch k draws from its own
+stream, the k-th child of the seed's SeedSequence.  Samples are
+therefore reproducible bit-for-bit for a given seed regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ DEFAULT_THRESHOLDS_DB = np.arange(-10.0, 30.0 + 0.5, 1.0)
 MAX_REPLICATIONS = 10**8
 
 # Expected sites drawn per batch; a batch holds this many over the expected
-# sites one replication draws, near sites plus far candidates (at least 1).  2**15 ran slower: its arrays page-fault
-# afresh in every batch.
+# sites one replication draws, near sites plus far candidates (at least 1).
+# 2**15 ran slower: its arrays page-fault afresh in every batch.
 _SITES_PER_BATCH = 2**14
 
 
@@ -197,22 +201,26 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
 class _PoissonField:
     """A BlockModel's sites as the user at the window center sees them.
 
-    The near rectangle is the square of half-width ``radius`` about the
-    user, clipped to the window.  Its sites are drawn whole: Poisson block
-    counts, uniform positions, LOS with probability exp(-beta*d).  Beyond
-    it only the LOS sites are drawn, which form a PPP of density
-    lam*exp(-beta*d): candidates at lam*exp(-beta*radius) over the window,
-    kept outside the near rectangle with probability exp(-beta*(d-radius)).
-    When the rectangle is the whole window, this is the whole-window draw.
+    The SINR depends on each site's distance to the user alone.  When the
+    near disc B(radius) lies inside the window, its sites are drawn by
+    distance: Poisson block counts of mean lam*pi*radius^2 at distances
+    radius*sqrt(U), LOS with probability exp(-beta*d).  Beyond the disc
+    only the LOS sites are drawn, a PPP of radial intensity
+    2*pi*r*lam*exp(-beta*r): its count has mean
+    2*pi*lam*exp(-beta*radius)*(radius/beta + 1/beta^2), each r is radius
+    plus an Exp(beta) or Gamma(2, beta) excess in the ratio beta*radius : 1,
+    and a uniform angle drops the sites outside the window.  When the disc
+    does not fit inside the window, or the far field would draw more sites
+    than the whole window holds, the whole window is drawn instead:
+    uniform positions, LOS with probability exp(-beta*d), no far field.
     """
 
     bits: np.ndarray        # occupant mask of each block
-    near_means: np.ndarray  # expected sites of each block in the near rectangle
-    near_lo: np.ndarray     # (2, 1) lower-left corner of the near rectangle, user-relative
-    near_span: np.ndarray   # (2, 1) its extent
-    far_means: np.ndarray | None  # expected far candidates per block; None: no far region
-    win_lo: np.ndarray
-    win_span: np.ndarray
+    near_means: np.ndarray  # expected near sites of each block: in the disc or the window
+    far_means: np.ndarray | None  # expected far candidates per block; None: the whole window
+    far_exp_share: float    # share of far excesses drawn from Exp(beta) rather than Gamma(2)
+    win_lo: np.ndarray      # (2, 1) lower-left window corner, user-relative
+    win_hi: np.ndarray      # (2, 1) upper-right window corner, user-relative
     radius: float
     beta: float
     home_blocks: np.ndarray
@@ -223,21 +231,23 @@ class _PoissonField:
         w = model.window
         ux, uy = w.center()
         radius = _near_radius(model, params, plan.home_operator)
-        x0, x1 = max(w.x_min, ux - radius), min(w.x_max, ux + radius)
-        y0, y1 = max(w.y_min, uy - radius), min(w.y_max, uy + radius)
+        beta = params.beta_per_m
         bits = np.array([sub.bits for sub, _ in model.blocks()], dtype=np.uint16)
         lam = np.array([lam for _, lam in model.blocks()])
-        covered = (x0, x1, y0, y1) == (w.x_min, w.x_max, w.y_min, w.y_max)
+        margin = min(ux - w.x_min, w.x_max - ux, uy - w.y_min, w.y_max - uy)
+        # expected sites per unit density: in the disc, and far LOS beyond it
+        disc = math.pi * radius * radius
+        far = 2.0 * math.pi * math.exp(-beta * radius) * (radius + 1.0 / beta) / beta
+        by_distance = margin >= radius and disc + far < w.area()
         return cls(
             bits=bits,
-            near_means=lam * ((x1 - x0) * (y1 - y0)),
-            near_lo=np.array([[x0 - ux], [y0 - uy]]),
-            near_span=np.array([[x1 - x0], [y1 - y0]]),
-            far_means=None if covered else lam * (math.exp(-params.beta_per_m * radius) * w.area()),
+            near_means=lam * (disc if by_distance else w.area()),
+            far_means=lam * far if by_distance else None,
+            far_exp_share=beta * radius / (beta * radius + 1.0),
             win_lo=np.array([[w.x_min - ux], [w.y_min - uy]]),
-            win_span=np.array([[w.x_max - w.x_min], [w.y_max - w.y_min]]),
+            win_hi=np.array([[w.x_max - ux], [w.y_max - uy]]),
             radius=radius,
-            beta=params.beta_per_m,
+            beta=beta,
             home_blocks=(bits & (1 << (plan.home_operator - 1))) != 0,
             max_attempts=plan.max_attempts,
         )
@@ -252,9 +262,10 @@ class _PoissonField:
 
         Returns (distance to the user, LOS labels, occupants, segment
         starts, redraws).  Every near block count of the batch comes from
-        one call; each replication without a home site in the near
-        rectangle redraws its near counts, in replication order, until it
-        has one.
+        one call; each replication without a near home site redraws its
+        near counts, in replication order, until it has one.  Then come
+        the near distances, their LOS labels and, beyond the disc, the far
+        counts, excess mixture choices, excesses and angles.
         """
         nb = self.bits.size
         counts = rng.poisson(self.near_means, (n, nb))
@@ -273,21 +284,28 @@ class _PoissonField:
             )
         occ = np.repeat(np.tile(self.bits, n), counts.ravel())
         sizes = counts.sum(axis=1)
-        rel = rng.random((2, occ.size))
-        rel *= self.near_span
-        rel += self.near_lo
-        d = _distances(rel)
+        if self.far_means is None:  # the whole window
+            rel = rng.random((2, occ.size))
+            rel *= self.win_hi - self.win_lo
+            rel += self.win_lo
+            d = _distances(rel)
+        else:  # the disc: distance density 2r/R^2
+            d = rng.random(occ.size)
+            np.sqrt(d, out=d)
+            d *= self.radius
+            np.maximum(d, 1e-3, out=d)
         los = rng.random(d.size) < np.exp(d * -self.beta)
         if self.far_means is not None:
             counts = rng.poisson(self.far_means, (n, nb))
             far_occ = np.repeat(np.tile(self.bits, n), counts.ravel())
             rep = np.repeat(np.arange(n), counts.sum(axis=1))
-            rel = rng.random((2, far_occ.size))
-            rel *= self.win_span
-            rel += self.win_lo
-            keep = np.abs(rel).max(axis=0) > self.radius  # outside the near square
-            far_d = _distances(rel)
-            keep &= rng.random(far_d.size) < np.exp((far_d - self.radius) * -self.beta)
+            k = far_occ.size
+            gamma2 = rng.random(k) >= self.far_exp_share
+            excess = rng.standard_exponential((2, k))
+            far_d = self.radius + (excess[0] + excess[1] * gamma2) / self.beta
+            angle = rng.random(k) * (2.0 * math.pi)
+            rel = far_d * np.array([np.cos(angle), np.sin(angle)])
+            keep = np.all((rel >= self.win_lo) & (rel <= self.win_hi), axis=0)
             d, los, occ, sizes = _append_far(d, los, occ, sizes, rep[keep], far_d[keep],
                                              far_occ[keep])
         return d, los, occ, _starts(sizes), redraws

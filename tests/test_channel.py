@@ -67,6 +67,39 @@ def test_rayleigh_fading_mean_is_one():
     assert abs(draws.mean() - 1.0) < 4.0 / math.sqrt(draws.size)
 
 
+def _trigamma(m: int) -> float:
+    return math.pi ** 2 / 6.0 - sum(1.0 / k ** 2 for k in range(1, m))
+
+
+@pytest.mark.parametrize("sigma_los, sigma_nlos", [(5.2, 7.6), (0.0, 0.0)],
+                         ids=["shadowed", "pure-gamma"])
+def test_nakagami_fades_follow_their_link_types_parameters(sigma_los, sigma_nlos):
+    spec = mw.FadingSpec(kind="nakagami-lognormal", nakagami_m_los=2.0, nakagami_m_nlos=3.0,
+                         shadow_sigma_db_los=sigma_los, shadow_sigma_db_nlos=sigma_nlos)
+    n = 400_000
+    los = np.random.default_rng(40).random(n) < 0.3
+    h = mw.channel._sample_fading_mask(spec, los, np.random.default_rng(41))
+    db = math.log(10.0) / 10.0
+    for mask, m, sigma in ((los, 2, sigma_los), (~los, 3, sigma_nlos)):
+        x = h[mask]
+        s2 = (sigma * db) ** 2
+        # Gamma(m, 1/m) has unit mean and variance 1/m; exp(s Z) has mean exp(s^2/2)
+        mean = math.exp(s2 / 2.0)
+        var = (1.0 + 1.0 / m) * math.exp(2.0 * s2) - mean ** 2
+        assert abs(x.mean() - mean) < 5.0 * math.sqrt(var / x.size)
+        # log h = log(Gamma(m)) - log(m) + s Z: variance trigamma(m) + s^2
+        assert np.log(x).var() == pytest.approx(_trigamma(m) + s2, rel=0.02)
+        if sigma == 0.0:
+            assert x.var() == pytest.approx(1.0 / m, rel=0.02)
+    # the documented draw order: every entry as NLOS, then fresh LOS draws
+    clone = np.random.default_rng(41)
+    want = clone.standard_gamma(3.0, n) / 3.0 * np.exp(clone.standard_normal(n) * sigma_nlos * db)
+    li = np.flatnonzero(los)
+    want[li] = (clone.standard_gamma(2.0, li.size) / 2.0
+                * np.exp(clone.standard_normal(li.size) * sigma_los * db))
+    assert np.allclose(h, want, rtol=1e-12, atol=0.0)
+
+
 def test_sinr_single_site_matches_hand_computation():
     dep = _dep([(100.0, 0.0, 1)], [True])
     rng = np.random.default_rng(123)

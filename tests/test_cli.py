@@ -409,6 +409,33 @@ def test_flags_the_scenario_source_never_reads_exit_2_without_output(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, message", [
+    ("noise_figure_db", "noise_figure_db"),
+    ("user_density_per_km2", "user_density_per_m2"),
+    ("fading.nakagami_m_los", "nakagami_m_los"),
+    ("fading.nakagami_m_nlos", "nakagami_m_nlos"),
+    ("fading.shadow_sigma_db_los", "shadow_sigma_db_los"),
+    ("fading.shadow_sigma_db_nlos", "shadow_sigma_db_nlos"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_parameter_exits_2_without_output(tmp_path, capsys, key, message, value):
+    # NaN passes every `x < 0` check: a NaN noise figure gave coverage 1.0 at
+    # every threshold, a NaN user density a rate curve of zeros
+    if key.startswith("fading."):
+        data = {"fading": {"kind": "nakagami-lognormal", key.split(".")[1]: value}}
+    else:
+        data = {key: value}
+    with pytest.raises(ConfigError, match=f"{message} must be finite"):
+        mw.params_from_dict(data)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))  # NaN and Infinity, as Python's json writes them
+    out = tmp_path / "out"
+    assert main(["simulate", "--fid", "0.4", "--reps", "10", "--params", str(path),
+                 "--out", str(out)]) == 2
+    assert f"{message} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_option_table_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme[readme.index("| command | options |"):].split("\n\n")[0]

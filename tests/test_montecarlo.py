@@ -271,7 +271,7 @@ def test_huge_thread_counts_start_no_more_processes_than_cpus(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Near square plus LOS-only far field
+# Near disc plus LOS-only far field
 
 def _whole_window_draw(model, n, beta, home_operator, max_attempts, rng):
     """Every site of the window, LOS with probability exp(-beta*d): the reference draw."""
@@ -298,9 +298,9 @@ def _whole_window_draw(model, n, beta, home_operator, max_attempts, rng):
 
 
 @pytest.mark.parametrize("density", [30.0, 3.0], ids=["crowded", "sparse"])
-def test_near_square_covering_the_window_is_the_whole_window_draw(density):
-    # 100 m windows lie inside the ~620 m near square: no far field, and the
-    # counts, redraws, distances and labels are those of the whole window
+def test_disc_not_inside_the_window_is_the_whole_window_draw(density):
+    # the ~620 m near disc does not fit inside a 100 m window: no far field,
+    # and the counts, redraws, distances and labels are those of the whole window
     model = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): density / KM2})
     plan = SimPlan(enforce_radius=False, max_attempts=1000)
     field = montecarlo._PoissonField.build(model, P, plan)
@@ -312,16 +312,30 @@ def test_near_square_covering_the_window_is_the_whole_window_draw(density):
         assert np.array_equal(g, w)
 
 
+def test_far_field_larger_than_the_window_is_the_whole_window_draw():
+    # at beta = 1e-5 /m almost every site is LOS: the far field beyond the
+    # disc would hold more candidates than the whole window, which is drawn instead
+    params = dataclasses.replace(P, beta_per_m=1e-5)
+    model = SPEC.to_block_model(mw.Window.square(mw.truncation_radius(SPEC.lambda_op1, P)))
+    field = montecarlo._PoissonField.build(model, params, SimPlan())
+    assert field.radius < 1000.0 and field.far_means is None
+    assert field.sites() == pytest.approx(model.total_density() * model.window.area())
+    got = field.draw(20, np.random.default_rng(19))
+    want = _whole_window_draw(model, 20, params.beta_per_m, 1, 1000, np.random.default_rng(19))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 def test_omitted_nlos_interference_is_below_the_closed_form_bound():
     # full-window draws of the FID scenario: the NLOS occupants outside the
-    # near square carry, on average, less than the bound the radius was chosen for
+    # near disc carry, on average, less than the bound the radius was chosen for
     model = SPEC.to_block_model(mw.Window.square(mw.truncation_radius(SPEC.lambda_op1, P)))
     field = montecarlo._PoissonField.build(model, P, SimPlan())
     assert field.far_means is not None
     rng = np.random.default_rng(23)
     n = 300
     d, los, occ, starts, _, (x, y) = _whole_window_draw(model, n, P.beta_per_m, 1, 10, rng)
-    dropped = ~los & (np.maximum(np.abs(x), np.abs(y)) > field.radius)
+    dropped = ~los & (np.hypot(x, y) > field.radius)
     k = np.bitwise_count(occ)[dropped]
     power = np.repeat(P.c_nlos * d[dropped] ** -P.alpha_nlos, k)
     power *= rng.standard_exponential(power.size) * mw.channel.sample_gain(P, rng, power.size)
@@ -329,6 +343,50 @@ def test_omitted_nlos_interference_is_below_the_closed_form_bound():
     assert 0.2 * bound < power.sum() / n < bound
     # the dropped sites are most of the window's, as the speed-up needs
     assert dropped.sum() > 0.9 * d.size
+
+
+def test_far_field_does_not_depend_on_the_window_size():
+    # far LOS candidates are drawn by distance: the same expected number at
+    # the default window and at 20 km, where window-wide candidates grew with
+    # the window (90 against 950 per replication)
+    plans = [SimPlan(), SimPlan(half_width_m=20000.0)]
+    fields = [montecarlo._PoissonField.build(
+        SPEC.to_block_model(mw.Window.square(plan.half_width_m
+                                             or mw.truncation_radius(SPEC.lambda_op1, P))),
+        P, plan) for plan in plans]
+    assert fields[0].sites() == fields[1].sites()
+    assert fields[0].far_means.sum() == pytest.approx(0.38, abs=0.02)
+
+
+def test_far_sites_are_los_beyond_the_disc_and_follow_the_clipped_intensity():
+    # a 700 m window holds the ~622 m disc and clips the far field beyond 700 m
+    h = 700.0
+    model = SPEC.to_block_model(mw.Window.square(h))
+    field = montecarlo._PoissonField.build(model, P, SimPlan(enforce_radius=False))
+    assert field.far_means is not None and field.radius < h
+    # the same stream without far sites: its segments are the near sites
+    near_only = dataclasses.replace(field, far_means=np.zeros_like(field.far_means))
+    n = 20000
+    d, los, _, starts, _ = field.draw(n, np.random.default_rng(43))
+    near_d, _, _, near_starts, _ = near_only.draw(n, np.random.default_rng(43))
+    sizes = np.diff(starts, append=d.size)
+    rank = np.arange(d.size) - np.repeat(starts, sizes)
+    far = rank >= np.repeat(np.diff(near_starts, append=near_d.size), sizes)
+    assert np.array_equal(d[~far], near_d)
+    assert np.all(los[far])
+    assert np.all(d[far] > field.radius) and np.all(d[far] <= h * math.sqrt(2.0))
+    # kept sites in distance bands: lam*exp(-beta*r) times the length of the
+    # circle of radius r inside the window
+    lam = sum(lam for _, lam in model.blocks())
+    r = np.linspace(field.radius, h * math.sqrt(2.0), 200_001)
+    arc = 2.0 * math.pi * r - 8.0 * r * np.arccos(np.minimum(h / r, 1.0))
+    density = n * lam * np.exp(-P.beta_per_m * r) * arc
+    cum = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) / 2.0 * np.diff(r))])
+    edges = np.array([field.radius, 650.0, 700.0, 750.0, 800.0, 850.0, h * math.sqrt(2.0)])
+    want = np.diff(np.interp(edges, r, cum))
+    got = np.histogram(d[far], edges)[0]
+    assert want.sum() > 3000.0 and want[-1] > 100.0
+    assert np.all(np.abs(got - want) <= 5.0 * np.sqrt(want))
 
 
 def test_nlos_mean_power_matches_sampled_fades_and_gains():
@@ -402,6 +460,7 @@ def test_run_report_states_the_near_radius_and_sites_drawn():
     assert 600.0 < res.report.near_radius_m < 650.0
     assert f"near_radius_m: {res.report.near_radius_m!r}" in text
     assert "omitted mean NLOS interference <= 1e-05 x noise power" in text
-    # the near square holds ~66 sites; the whole window held ~1,842
-    assert 55.0 < res.report.sites_per_rep < 80.0
+    # the near disc holds ~52.0 sites and the far field adds ~0.4; the whole
+    # window held ~1,842
+    assert 50.0 < res.report.sites_per_rep < 55.0
     assert f"sites_per_rep: {res.report.sites_per_rep!r}" in text
