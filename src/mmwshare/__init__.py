@@ -22,16 +22,7 @@ from .analytic import (
     sinr_coverage,
     truncation_radius,
 )
-from .channel import (
-    Association,
-    HomeOperatorAbsent,
-    LinkType,
-    los_probability,
-    path_loss,
-    sample_fading,
-    sample_gain,
-    sinr_at_user,
-)
+from .channel import sample_gain, sinr_at_user
 from .core import (
     BlockModel,
     ConfigError,

@@ -12,45 +12,10 @@ serving distance.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ConfigError, DataError, FadingSpec, SystemParams
 from .geometry import Deployment
-
-
-class LinkType(enum.IntEnum):
-    LOS = 0
-    NLOS = 1
-
-
-class HomeOperatorAbsent(DataError):
-    """The home operator has no site in the deployment."""
-
-
-def los_probability(beta: float, r):
-    """P(link of length r is LOS) = exp(-beta * r)."""
-    return np.exp(-beta * np.asarray(r, dtype=float))
-
-
-def path_loss(link: LinkType, r, params: SystemParams):
-    """Linear path gain c_tau * r^(-alpha_tau); scalar or elementwise."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ConfigError("path loss is defined for r > 0 only")
-    if link == LinkType.LOS:
-        out = params.c_los * r ** (-params.alpha_los)
-    else:
-        out = params.c_nlos * r ** (-params.alpha_nlos)
-    return out if out.ndim else float(out)
-
-
-def gain_pmf(params: SystemParams) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Exact PMF of an interferer's beam gain: ((G, p_main), (g, 1 - p_main))."""
-    p = params.main_lobe_prob
-    return ((params.gain_main, p), (params.gain_side, 1.0 - p))
 
 
 def sample_gain(params: SystemParams, rng: np.random.Generator, size: int | None = None):
@@ -58,18 +23,6 @@ def sample_gain(params: SystemParams, rng: np.random.Generator, size: int | None
     u = rng.random(size)
     out = np.where(u < params.main_lobe_prob, params.gain_main, params.gain_side)
     return out if size is not None else float(out)
-
-
-def sample_fading(spec: FadingSpec, link: LinkType, rng: np.random.Generator,
-                  size: int | None = None):
-    """Fading power draw(s) for one link type.
-
-    Rayleigh: Exp(1).  Nakagami-lognormal: Gamma(m, 1/m) times 10^(X/10)
-    with X ~ Normal(0, sigma_dB); the Gamma factor has unit mean.
-    """
-    los = np.full(size if size is not None else 1, link == LinkType.LOS)
-    out = _sample_fading_mask(spec, los, rng)
-    return out if size is not None else float(out[0])
 
 
 _NEPER_PER_DB = np.log(10.0) / 10.0
@@ -103,16 +56,6 @@ def _sample_fading_mask(spec: FadingSpec, los: np.ndarray, rng: np.random.Genera
     return out
 
 
-@dataclass(frozen=True)
-class Association:
-    """Outcome of the closed-access association for one user."""
-
-    site_index: int
-    link: LinkType
-    distance: float
-    co_located: bool
-
-
 def sinr_batch(d: np.ndarray, los: np.ndarray, occupants: np.ndarray, starts: np.ndarray,
                home_operator: int, params: SystemParams, rng: np.random.Generator,
                include_interference: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -121,14 +64,14 @@ def sinr_batch(d: np.ndarray, los: np.ndarray, occupants: np.ndarray, starts: np
     Segment i holds sites starts[i] up to the next start (the last runs to
     the end): their distances d (> 0) to that segment's user, LOS labels
     and occupant bitmasks.  Every segment needs a home-operator site.
-    Each segment is associated as in sinr_at_user; the draws are
-    batch-wide: every serving fade, then every interferer fade, then
-    every interferer gain.  Rayleigh fades are one Exp(1) per link.
-    Nakagami-lognormal fades come in two rounds per group (serving,
-    interferers): Gamma(m_N) shapes then normals for every link of the
-    group, then Gamma(m_L) shapes and normals for its LOS links, which
-    replace their first-round fades.  Returns (sinr, serving site index)
-    per segment.
+    Its serving site is its home-operator site of largest path gain, the
+    lowest index on ties.  The draws are batch-wide: every serving fade,
+    then every interferer fade, then every interferer gain.  Rayleigh
+    fades are one Exp(1) per link.  Nakagami-lognormal fades come in two
+    rounds per group (serving, interferers): Gamma(m_N) shapes then
+    normals for every link of the group, then Gamma(m_L) shapes and
+    normals for its LOS links, which replace their first-round fades.
+    Returns (sinr, serving site index) per segment.
     """
     # most sites are NLOS (about 90% of a Monte Carlo draw): the NLOS gain
     # everywhere, then patch LOS sites
@@ -150,39 +93,26 @@ def sinr_batch(d: np.ndarray, los: np.ndarray, occupants: np.ndarray, starts: np
     terms = np.repeat(ell, counts)
     terms *= _sample_fading_mask(params.fading, np.repeat(los, counts), rng)
     terms *= sample_gain(params, rng, terms.size)
-    if starts.size == 1:  # np.sum's pairwise rounding, as sinr_at_user always had
-        interference = np.sum(terms, keepdims=True)
-    else:
-        n_terms = np.add.reduceat(counts, starts, dtype=np.int64)
-        busy = n_terms > 0
-        interference = np.zeros(starts.size)
-        interference[busy] = np.add.reduceat(terms, (np.cumsum(n_terms) - n_terms)[busy])
+    n_terms = np.add.reduceat(counts, starts, dtype=np.int64)
+    busy = n_terms > 0
+    interference = np.zeros(starts.size)
+    interference[busy] = np.add.reduceat(terms, (np.cumsum(n_terms) - n_terms)[busy])
     return signal / (params.sigma2 + interference), serving
 
 
 def sinr_at_user(dep: Deployment, user: tuple[float, float], home_operator: int,
                  params: SystemParams, rng: np.random.Generator,
-                 include_interference: bool = True) -> tuple[float, Association]:
-    """SINR of one user against a labeled deployment.
+                 include_interference: bool = True) -> tuple[float, int]:
+    """SINR of one user against a labeled deployment: sinr_batch on one segment.
 
-    Draw order (fixed for reproducibility): serving fade, interferer
-    fades, interferer gains.  Fading model comes from params.fading.
-    This is sinr_batch on a single segment.
+    Distances are clipped to 1 mm.  Returns (sinr, serving site index).
     """
     if dep.link_los is None:
         raise ConfigError("deployment lacks LOS labels; call thin_blockage first")
-    los = np.asarray(dep.link_los, dtype=bool)
-    d = np.hypot(dep.xy[:, 0] - user[0], dep.xy[:, 1] - user[1])
-    d = np.maximum(d, 1e-3)  # coincident-site guard
     if not dep.operator_mask(home_operator).any():
-        raise HomeOperatorAbsent(f"operator {home_operator} has no site in the deployment")
-    sinr, serving = sinr_batch(d, los, dep.occupants, np.zeros(1, dtype=np.int64),
-                               home_operator, params, rng, include_interference)
-    s = int(serving[0])
-    assoc = Association(
-        site_index=s,
-        link=LinkType.LOS if los[s] else LinkType.NLOS,
-        distance=float(d[s]),
-        co_located=int(np.bitwise_count(dep.occupants[s])) > 1,
-    )
-    return float(sinr[0]), assoc
+        raise DataError(f"operator {home_operator} has no site in the deployment")
+    d = np.maximum(np.hypot(dep.xy[:, 0] - user[0], dep.xy[:, 1] - user[1]), 1e-3)
+    sinr, serving = sinr_batch(d, np.asarray(dep.link_los, dtype=bool), dep.occupants,
+                               np.zeros(1, dtype=np.int64), home_operator, params, rng,
+                               include_interference)
+    return float(sinr[0]), int(serving[0])

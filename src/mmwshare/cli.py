@@ -112,6 +112,14 @@ def _lambda0_per_m2(km2: float) -> float:
     return km2 / KM2
 
 
+def _half_width_m(args) -> float | None:
+    """Half of --window-km in meters, checked in the km it was given in; None if not given."""
+    km = getattr(args, "window_km", None)
+    if km is not None and not 0 < km < math.inf:
+        raise ConfigError(f"--window-km must be a positive width in km, got {km:g}")
+    return None if km is None else km * 1000.0 / 2.0
+
+
 def _reject_unread(args, source: str, *flags: str) -> None:
     """ConfigError for a flag that was given although ``source`` never reads it."""
     for flag in flags:
@@ -154,8 +162,8 @@ def _resolve_scenario(args):
         _reject_unread(args, "--blocks or --deployment", "lambda0")
     if args.blocks is not None:
         model = load_blocks_file(args.blocks)
-        if getattr(args, "window_km", None) is not None:
-            half = args.window_km * 1000.0 / 2.0
+        half = _half_width_m(args)
+        if half is not None:
             model = BlockModel(Window.square(half), model.densities)
         return model, model.to_text()
     if deployment_path is not None:
@@ -217,11 +225,11 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     params = _load_params(args)
     scenario, desc = _resolve_scenario(args)
-    if isinstance(scenario, geometry.Deployment) and args.window_km is not None:
+    half = _half_width_m(args)
+    if isinstance(scenario, geometry.Deployment) and half is not None:
         raise ConfigError("--window-km does not apply to a fixed deployment")
     grid = parse_grid(args.sinr or DEFAULT_SINR_GRID, "sinr")
     rates = parse_grid(args.rates, "rates") * 1e6 if args.rates else None
-    half = args.window_km * 1000.0 / 2.0 if args.window_km is not None else None
     plan = montecarlo.SimPlan(
         replications=args.reps,
         seed=args.seed,
@@ -254,11 +262,12 @@ def cmd_estimate(args) -> int:
     elif sharing is not None:
         # synthetic round trip: sample a coupled deployment, then estimate
         spec, text = _sharing_spec(*sharing, _lambda0_km2(args))
-        if args.window_km is None:
+        half = _half_width_m(args)
+        if half is None:
             raise ConfigError("synthetic estimation needs --window-km for the sampling window")
         seed = 0 if args.seed is None else args.seed
         check_seed(seed)
-        window = Window.square(args.window_km * 1000.0 / 2.0)
+        window = Window.square(half)
         dep = geometry.couple_two_operators(spec, window, seed)
         source = f"synthetic({sharing[0]}, {text}, seed={seed})"
     else:
@@ -289,9 +298,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_press(args) -> int:
     dep = geometry.read_deployment_csv(args.deployment)
+    pressed = geometry.press(dep, args.target_density / KM2, operator=args.operator)
     out = _out_dir(args)
-    target = args.target_density / KM2
-    pressed = geometry.press(dep, target, operator=args.operator)
     geometry.write_deployment_csv(pressed, out / "pressed.csv")
     print(f"wrote {out / 'pressed.csv'}")
     new_density = estimation.estimate_density(pressed, args.operator) * KM2

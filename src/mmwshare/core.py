@@ -318,13 +318,6 @@ class BlockModel:
         return "blocks(" + ", ".join(
             f"{sub.to_text()}:{lam * KM2:.6g}/km^2" for sub, lam in self.blocks()) + ")"
 
-    def operators(self) -> tuple[int, ...]:
-        present: set[int] = set()
-        for s, lam in self.densities.items():
-            if lam > 0:
-                present.update(s)
-        return tuple(sorted(present))
-
 
 @dataclass(frozen=True)
 class TwoOpSpec:

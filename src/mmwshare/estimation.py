@@ -69,8 +69,8 @@ def merge_colocated(dep: Deployment, eps_m: float = DEFAULT_MERGE_EPS_M) -> Depl
     Merging is transitive (connected components of the graph of pairs
     with dx*dx + dy*dy <= eps_m*eps_m); the merged site sits at the group
     centroid and carries the union of the occupants.  eps_m = 0 merges
-    exactly coincident coordinates only.  Blockage labels and coupling
-    marks do not survive the merge.
+    exactly coincident coordinates only.  Blockage labels do not survive
+    the merge.
     """
     if not (math.isfinite(eps_m) and eps_m >= 0):
         raise ConfigError(f"merge radius must be finite and >= 0, got {eps_m!r}")

@@ -40,16 +40,14 @@ class Deployment:
     """Realized sites in a window.
 
     xy is an (n, 2) float array of positions in meters; occupants an (n,)
-    uint16 array of occupant bitmasks (non-empty).  marks carries the
-    coupling marks when the deployment came from the two-operator
-    construction.  link_los, when present, labels each site LOS/NLOS as
-    seen from one particular user position (see thin_blockage).
+    uint16 array of occupant bitmasks (non-empty).  link_los, when
+    present, labels each site LOS/NLOS as seen from one particular user
+    position (see thin_blockage).
     """
 
     window: Window
     xy: np.ndarray
     occupants: np.ndarray
-    marks: np.ndarray | None = None
     link_los: np.ndarray | None = None
 
     def __post_init__(self):
@@ -65,13 +63,11 @@ class Deployment:
             raise DataError(f"site {k} at ({xy[k, 0]}, {xy[k, 1]}) lies outside the window")
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "occupants", occ)
-        for name in ("marks", "link_los"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr).reshape(-1)
-                if arr.shape[0] != occ.shape[0]:
-                    raise DataError(f"{name} length {arr.shape[0]} != site count {occ.shape[0]}")
-                object.__setattr__(self, name, arr)
+        if self.link_los is not None:
+            los = np.asarray(self.link_los).reshape(-1)
+            if los.shape[0] != occ.shape[0]:
+                raise DataError(f"link_los length {los.shape[0]} != site count {occ.shape[0]}")
+            object.__setattr__(self, "link_los", los)
 
     @property
     def n_sites(self) -> int:
@@ -93,16 +89,12 @@ class Deployment:
         union = int(np.bitwise_or.reduce(self.occupants))
         return OperatorSet(union).operators
 
-    def with_labels(self, link_los: np.ndarray) -> "Deployment":
-        return replace(self, link_los=link_los)
-
     def keep(self, mask: np.ndarray) -> "Deployment":
         """Deployment restricted to sites where mask is True."""
         return Deployment(
             self.window,
             self.xy[mask],
             self.occupants[mask],
-            None if self.marks is None else self.marks[mask],
             None if self.link_los is None else self.link_los[mask],
         )
 
@@ -173,26 +165,20 @@ def couple_two_operators(spec: TwoOpSpec, window: Window, seed) -> Deployment:
     u = rng.random(n)
     occ = np.where(u <= spec.retain_a, 1, 0) | np.where(u > spec.retain_b, 2, 0)
     keep = occ > 0  # vacuous when b <= a, kept as a guard
-    return Deployment(window, xy[keep], occ[keep].astype(np.uint16), marks=u[keep])
-
-
-def label_los(xy: np.ndarray, origin: tuple[float, float], beta: float,
-              rng: np.random.Generator) -> np.ndarray:
-    """Independent LOS labels: site at distance d is LOS w.p. exp(-beta*d)."""
-    d = np.hypot(xy[:, 0] - origin[0], xy[:, 1] - origin[1])
-    return rng.random(d.shape[0]) < np.exp(-beta * d)
+    return Deployment(window, xy[keep], occ[keep].astype(np.uint16))
 
 
 def thin_blockage(dep: Deployment, origin: tuple[float, float], beta: float, seed) -> Deployment:
     """Label every site LOS/NLOS as seen from ``origin``.
 
-    Labels are independent across sites and never cached: they are valid
-    for this origin only.
+    A site at distance d is LOS with probability exp(-beta*d), independently
+    of the others.  The labels are valid for this origin only.
     """
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     rng = _as_generator(seed)
-    return dep.with_labels(label_los(dep.xy, origin, beta, rng))
+    d = np.hypot(dep.xy[:, 0] - origin[0], dep.xy[:, 1] - origin[1])
+    return replace(dep, link_los=rng.random(dep.n_sites) < np.exp(-beta * d))
 
 
 def press(dep: Deployment, target_density: float, operator: int | None = None) -> Deployment:
@@ -215,7 +201,7 @@ def press(dep: Deployment, target_density: float, operator: int | None = None) -
     s = math.sqrt(current / target_density)
     cx, cy = dep.window.center()
     xy = (dep.xy - (cx, cy)) * s + (cx, cy)
-    return Deployment(dep.window.scaled(s), xy, dep.occupants.copy(), marks=dep.marks)
+    return Deployment(dep.window.scaled(s), xy, dep.occupants.copy())
 
 
 def clustered_thinning(dep: Deployment, parent_density: float, keep_radius: float,

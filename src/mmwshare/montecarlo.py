@@ -19,7 +19,6 @@ count.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ from .core import (
     BlockModel,
     ConfigError,
     DataError,
-    FadingSpec,
     NumericalError,
     SystemParams,
     TwoOpSpec,
@@ -79,7 +77,6 @@ class SimPlan:
     thresholds_db: Sequence[float] | None = None
     half_width_m: float | None = None
     home_operator: int = 1
-    fading: FadingSpec | None = None
     include_interference: bool = True
     workers: int = 1
     max_attempts: int = 1000
@@ -95,8 +92,8 @@ class SimPlan:
             raise ConfigError("workers must be >= 1")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
-        if self.half_width_m is not None and self.half_width_m <= 0:
-            raise ConfigError("half_width_m must be positive")
+        if self.half_width_m is not None and not 0 < self.half_width_m < math.inf:
+            raise ConfigError(f"half_width_m must be positive and finite, got {self.half_width_m}")
 
 
 @dataclass(frozen=True)
@@ -494,8 +491,6 @@ def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
 
 def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
     """Collect per-replication SINR samples and the empirical coverage curve."""
-    if plan.fading is not None:
-        params = dataclasses.replace(params, fading=plan.fading)
     scenario, desc = _resolve_scenario(scenario, params, plan)
     window = scenario.window
     thresholds = (

@@ -8,6 +8,7 @@ overlap estimation, rate comparisons, fading robustness, and CLI
 determinism.  Every tolerance is pinned here, not derived at runtime.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -345,11 +346,11 @@ def test_rate_comparisons_between_sharing_modes():
 
 def test_rho_ordering_survives_heavier_fading(fid_runs):
     thresholds = np.array([-10.0, 20.0])
+    p_nak = dataclasses.replace(P, fading=mw.NAKAGAMI_LOGNORMAL_DEFAULT)
     nak = {}
     for i, rho in enumerate((0.0, 1.0)):
-        plan = mw.SimPlan(replications=10000, seed=(301, 40 + i), thresholds_db=thresholds,
-                          fading=mw.NAKAGAMI_LOGNORMAL_DEFAULT)
-        nak[rho] = mw.run_simulation(mw.fid_scenario(LAM0, rho), P, plan).curve.probabilities
+        plan = mw.SimPlan(replications=10000, seed=(301, 40 + i), thresholds_db=thresholds)
+        nak[rho] = mw.run_simulation(mw.fid_scenario(LAM0, rho), p_nak, plan).curve.probabilities
     ray0 = fid_runs[0.0][1].curve.probabilities
     ray1 = fid_runs[1.0][1].curve.probabilities
     ray_lo = float(ray1[IDX_LO] - ray0[IDX_LO])

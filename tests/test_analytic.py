@@ -107,7 +107,8 @@ def test_interference_kernel_matches_quadrature():
             return math.exp(-x * g * h) * math.exp(-h)
 
         want = 0.0
-        for g, pr in mw.channel.gain_pmf(P):
+        p = P.main_lobe_prob
+        for g, pr in ((P.gain_main, p), (P.gain_side, 1.0 - p)):
             part, _ = integrate.quad(integrand, 0, np.inf, args=(g,))
             want += pr * part
         assert mw.interference_kernel(P, s, t, los) == pytest.approx(want, rel=1e-9)

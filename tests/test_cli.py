@@ -290,6 +290,22 @@ def test_press_rescales_to_target(tmp_path):
     assert pressed.n_sites == dep.n_sites
 
 
+@pytest.mark.parametrize("flags, code, message", [
+    (["--target-density", "nan"], 2, "target density must be positive"),
+    (["--target-density", "10", "--operator", "40"], 2, "operator index must be"),
+    (["--target-density", "10", "--operator", "2"], 3, "no sites for the selected operator"),
+], ids=["nan-density", "bad-operator", "absent-operator"])
+def test_press_rejects_bad_input_without_output(tmp_path, capsys, flags, code, message):
+    dep = mw.couple_two_operators(mw.fid_scenario(40.0 / KM2, 0.5), mw.Window.square(2000.0),
+                                  seed=9)
+    csv_path = tmp_path / "op1.csv"
+    mw.write_deployment_csv(dep.keep(dep.subset_mask(mw.OperatorSet.of(1))), csv_path)
+    out = tmp_path / "pressed"
+    assert main(["press", "--deployment", str(csv_path), *flags, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_writes_all_labels(tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", "--rhos", "1", "--reps", "120",
@@ -328,19 +344,30 @@ def test_unknown_preset_is_config_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--fid", "abc"],
-    ["simulate", "--fcd", "x"],
-    ["estimate", "--fid", "0.4x", "--window-km", "2"],
-    ["analyze", "--fid", "0.4", "--threads", "0"],
-], ids=["analyze-fid", "simulate-fcd", "estimate-fid", "analyze-threads"])
-def test_malformed_sharing_value_or_thread_count_exits_2_without_output(tmp_path, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--fid", "abc"], "--fid expects a number, got 'abc'"),
+    (["simulate", "--fcd", "x"], "--fcd expects a number, got 'x'"),
+    (["estimate", "--fid", "0.4x", "--window-km", "2"], "--fid expects a number"),
+    (["analyze", "--fid", "0.4", "--threads", "0"], "--threads: must be at least 1, got 0"),
+    # --window-km is checked in the km it was typed in
+    (["simulate", "--fid", "0.4", "--window-km", "nan"], "positive width in km, got nan"),
+    (["simulate", "--fid", "0.4", "--window-km", "inf"], "positive width in km, got inf"),
+    (["simulate", "--fid", "0.4", "--window-km", "-1"], "positive width in km, got -1"),
+    (["estimate", "--fcd", "0.4", "--window-km", "nan"], "positive width in km, got nan"),
+    (["estimate", "--fcd", "0.4", "--window-km", "inf"], "positive width in km, got inf"),
+    (["estimate", "--fcd", "0.4", "--window-km", "0"], "positive width in km, got 0"),
+], ids=["analyze-fid", "simulate-fcd", "estimate-fid", "analyze-threads",
+        "simulate-window-nan", "simulate-window-inf", "simulate-window-negative",
+        "estimate-window-nan", "estimate-window-inf", "estimate-window-zero"])
+def test_malformed_sharing_value_or_thread_count_exits_2_without_output(tmp_path, capsys, argv,
+                                                                        message):
     out = tmp_path / "out"
     try:
         code = main([*argv, "--out", str(out)])
     except SystemExit as exc:  # argparse rejects an option's value this way
         code = exc.code
     assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -50,12 +50,18 @@ def test_block_streams_do_not_interact():
 def test_coupling_marks_drive_occupancy():
     spec = mw.TwoOpSpec(40.0 / KM2, 0.7, 0.2)
     dep = mw.couple_two_operators(spec, WIN, seed=5)
-    assert dep.marks is not None
+    # the marks, re-drawn from a clone of the seed's generator: the count,
+    # the x and y coordinates, then one uniform mark per site
+    clone = np.random.default_rng(5)
+    n = clone.poisson(spec.lambda_total * WIN.area())
+    x, y = clone.uniform(WIN.x_min, WIN.x_max, n), clone.uniform(WIN.y_min, WIN.y_max, n)
+    marks = clone.random(n)
+    assert np.array_equal(dep.xy, np.column_stack([x, y]))
     m1 = dep.operator_mask(1)
     m2 = dep.operator_mask(2)
     # retention rule: operator 1 keeps mark <= a, operator 2 keeps mark > b
-    assert np.array_equal(m1, dep.marks <= spec.retain_a)
-    assert np.array_equal(m2, dep.marks > spec.retain_b)
+    assert np.array_equal(m1, marks <= spec.retain_a)
+    assert np.array_equal(m2, marks > spec.retain_b)
     # with b <= a nobody is unclaimed
     assert bool(np.all(m1 | m2))
 
@@ -65,7 +71,7 @@ def test_coupling_is_deterministic():
     d1 = mw.couple_two_operators(spec, WIN, seed=11)
     d2 = mw.couple_two_operators(spec, WIN, seed=11)
     assert np.array_equal(d1.xy, d2.xy)
-    assert np.array_equal(d1.marks, d2.marks)
+    assert np.array_equal(d1.occupants, d2.occupants)
 
 
 def test_point_budget_guard_catches_unit_mistakes():
@@ -91,6 +97,10 @@ def test_thin_blockage_labels():
     assert labeled.link_los is not None
     assert labeled.link_los.shape == (dep.n_sites,)
     assert labeled.n_sites == dep.n_sites
+    # a site at distance d is LOS when its uniform falls below exp(-beta*d)
+    d = np.hypot(*(dep.xy - WIN.center()).T)
+    u = np.random.default_rng(9).random(dep.n_sites)
+    assert np.array_equal(labeled.link_los, u < np.exp(-0.007 * d))
     # same seed, same labels
     again = mw.thin_blockage(dep, WIN.center(), beta=0.007, seed=9)
     assert np.array_equal(labeled.link_los, again.link_los)

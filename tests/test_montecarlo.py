@@ -24,8 +24,9 @@ def test_simplan_validation():
         SimPlan(workers=0)
     with pytest.raises(ConfigError):
         SimPlan(max_attempts=0)
-    with pytest.raises(ConfigError):
-        SimPlan(half_width_m=-5.0)
+    for half in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="half_width_m must be positive and finite"):
+            SimPlan(half_width_m=half)
 
 
 def test_wilson_halfwidth_matches_quadratic_roots():
@@ -193,11 +194,12 @@ def many_cpus(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario, fading", [
-    (SPEC, None), (THREE_OP, NAK), (_fixed_deployment(), None),
+    (SPEC, mw.RAYLEIGH), (THREE_OP, NAK), (_fixed_deployment(), mw.RAYLEIGH),
 ], ids=["two-op", "three-op-nakagami", "deployment"])
 def test_samples_do_not_depend_on_workers(many_cpus, scenario, fading):
-    runs = [mw.run_simulation(scenario, P, SimPlan(replications=250, seed=(8, 1), fading=fading,
-                                                   thresholds_db=[0.0], workers=w))
+    params = dataclasses.replace(P, fading=fading)
+    runs = [mw.run_simulation(scenario, params, SimPlan(replications=250, seed=(8, 1),
+                                                        thresholds_db=[0.0], workers=w))
             for w in (1, 2, 3)]
     assert pool_size(3, 250) == 3
     for res in runs[1:]:
@@ -333,16 +335,23 @@ def test_omitted_nlos_interference_is_below_the_closed_form_bound():
     field = montecarlo._PoissonField.build(model, P, SimPlan())
     assert field.far_means is not None
     rng = np.random.default_rng(23)
-    n = 300
-    d, los, occ, starts, _, (x, y) = _whole_window_draw(model, n, P.beta_per_m, 1, 10, rng)
-    dropped = ~los & (np.hypot(x, y) > field.radius)
-    k = np.bitwise_count(occ)[dropped]
-    power = np.repeat(P.c_nlos * d[dropped] ** -P.alpha_nlos, k)
-    power *= rng.standard_exponential(power.size) * mw.channel.sample_gain(P, rng, power.size)
+    # 16 chunks of 300 replications: the mean reads 0.962 of the bound, and
+    # 0.962-0.973 over seeds 23-27 (0.951-1.000 with one chunk)
+    chunk, chunks = 300, 16
+    power, n_dropped, n_sites = 0.0, 0, 0
+    for _ in range(chunks):
+        d, los, occ, _, _, (x, y) = _whole_window_draw(model, chunk, P.beta_per_m, 1, 10, rng)
+        dropped = ~los & (np.hypot(x, y) > field.radius)
+        k = np.bitwise_count(occ)[dropped]
+        terms = np.repeat(P.c_nlos * d[dropped] ** -P.alpha_nlos, k)
+        terms *= rng.standard_exponential(terms.size) * mw.channel.sample_gain(P, rng, terms.size)
+        power += terms.sum()
+        n_dropped += int(dropped.sum())
+        n_sites += d.size
     bound = montecarlo.NLOS_OMISSION_BOUND * P.sigma2
-    assert 0.2 * bound < power.sum() / n < bound
+    assert 0.2 * bound < power / (chunk * chunks) < bound
     # the dropped sites are most of the window's, as the speed-up needs
-    assert dropped.sum() > 0.9 * d.size
+    assert n_dropped > 0.9 * n_sites
 
 
 def test_far_field_does_not_depend_on_the_window_size():
