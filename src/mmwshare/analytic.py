@@ -6,7 +6,7 @@ multiplying the noise factor by the interference Laplace transform, and
 integrating against the association-distance density.
 
 Interference Laplace transforms reduce to products of exponentials of
-semi-infinite integrals, one per (block, interferer link type) segment.
+semi-infinite integrals, one per (block class, interferer link type) segment.
 Each is mapped onto [0, 1) by a stretched substitution t = lower +
 q*(exp(Y*v) - 1) and truncated where an analytic tail bound vanishes.
 
@@ -28,7 +28,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -304,8 +304,8 @@ _WG = np.array([
 
 _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # 21 ascending nodes
 _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])       # Kronrod weights
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13, 15, 17, 19])  # embedded Gauss-10
-_GAUSS_W = np.concatenate([_WG, _WG[::-1]])
+_WEIGHTS_G = np.zeros(21)                                  # embedded Gauss-10, zero
+_WEIGHTS_G[1::2] = np.concatenate([_WG, _WG[::-1]])        # at the Kronrod-only nodes
 
 
 # Panels per integrand call: bounds the size of every vectorised evaluation.
@@ -319,7 +319,8 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray):
     error estimates (m,), which deliberately over-report so that the
     adaptive loop converges well past the requested tolerance.  All
     arithmetic is per row, so a panel's value does not depend on the
-    other panels of its call.
+    other panels of its call: the row sums are einsums over whole rows,
+    as ``@`` or a strided subset of the nodes would round by batch.
     """
     vals, errs = [], []
     for i in range(0, lo.size, _PANELS_PER_CALL):
@@ -327,9 +328,9 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray):
         mid = 0.5 * (a + b)
         h = 0.5 * (b - a)
         fx = f(mid[:, None] + h[:, None] * _NODES, comp[i:i + _PANELS_PER_CALL])  # (m, 21)
-        resk = np.sum(fx * _WEIGHTS_K, axis=1)
-        resg = np.sum(fx[:, _GAUSS_IDX] * _GAUSS_W, axis=1)
-        resasc = np.sum(np.abs(fx - 0.5 * resk[:, None]) * _WEIGHTS_K, axis=1) * h
+        resk = np.einsum("ij,j->i", fx, _WEIGHTS_K)
+        resg = np.einsum("ij,j->i", fx, _WEIGHTS_G)
+        resasc = np.einsum("ij,j->i", np.abs(fx - 0.5 * resk[:, None]), _WEIGHTS_K) * h
         err = np.abs(resk - resg) * h
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = np.where(
@@ -402,18 +403,15 @@ def adaptive_gk21(f, a: float, b: float, n: int, *, epsabs: float = 1e-9,
 class _Segments(NamedTuple):
     """Exponent integrals of interference Laplace transforms, as arrays.
 
-    Element i contributes weight * int (1 - u^power)(1 + mix*u) p_tau(t) t dt
-    over [lower, upper] (upper = inf for a semi-infinite range) to a log
-    transform, where u is the single-interferer kernel of link type ``los``.
-    The fields broadcast together.
+    Element i contributes weight * int_lower^inf (1 - u^power) p_tau(t) t dt
+    to a log transform, where u is the single-interferer kernel of link
+    type ``los``.  The fields broadcast together.
     """
 
     weight: np.ndarray
     power: np.ndarray
-    mix: np.ndarray
     los: np.ndarray
     lower: np.ndarray
-    upper: np.ndarray
 
 
 def _exponent_each(segs: _Segments, params: SystemParams, s,
@@ -425,47 +423,37 @@ def _exponent_each(segs: _Segments, params: SystemParams, s,
     and return exactly 0, preserving factor identities.
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in segs), np.shape(s))
-    w, power, mix, is_los, lo, upper, s_arr = (
+    w, power, is_los, lo, s_arr = (
         np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in (*segs, s))
     out = np.zeros(w.size)
     live = np.flatnonzero((w > 0.0) & (s_arr > 0.0))
     if live.size == 0:
         return out.reshape(shape)
-    w, power, mix, is_los, lo, upper, s_arr = (
-        a[live] for a in (w, power, mix, is_los, lo, upper, s_arr))
+    w, power, is_los, lo, s_arr = (a[live] for a in (w, power, is_los, lo, s_arr))
     is_los = is_los > 0.0
-    fin = np.isfinite(upper)
-    span = np.where(fin, upper - lo, 1.0)
     c = np.where(is_los, params.c_los, params.c_nlos)
     al = np.where(is_los, params.alpha_los, params.alpha_nlos)
     beta = params.beta_per_m
     pb = params.main_lobe_prob
     g_main, g_side = params.gain_main, params.gain_side
 
-    # Unbounded segments are truncated where an analytic bound on the
-    # remainder drops below a tenth of the absolute tolerance, using
-    # (1 - u^k)(1 + mix*u) <= k*(1 + |mix|) * min(1, s*c*gbar*t^(-alpha)):
-    # a power-law bound for NLOS tails and an exp(-beta*t) bound for LOS.
+    # Segments are truncated where an analytic bound on the remainder
+    # drops below a tenth of the absolute tolerance, using
+    # 1 - u^k <= k * min(1, s*c*gbar*t^(-alpha)): a power-law bound for
+    # NLOS tails and an exp(-beta*t) bound for LOS.
     gbar = pb * g_main + (1.0 - pb) * g_side
     tol_tail = max(0.1 * epsabs, 1e-300)
-    pref = w * power * (1.0 + np.abs(mix))
-    with np.errstate(over="ignore", divide="ignore"):
-        t_far = np.where(
-            is_los | fin,
-            1.0,
-            (pref * s_arr * c * gbar / (np.maximum(al - 2.0, 1e-12) * tol_tail))
-            ** (1.0 / np.maximum(al - 2.0, 1e-12)),
-        )
+    pref = w * power
     c_los_bound = pref / beta**2
     t_exp = np.maximum(lo, 1.0 / beta)
     for _ in range(8):
-        need = c_los_bound * (1.0 + beta * t_exp) * np.exp(-beta * t_exp) > tol_tail
-        t_exp = np.where(
-            need,
-            np.log(np.maximum(c_los_bound * (1.0 + beta * t_exp) / tol_tail, 1.0)) / beta,
-            t_exp,
-        )
-    t_far = np.where(is_los & ~fin, t_exp, t_far)
+        bound = c_los_bound * (1.0 + beta * t_exp)
+        t_exp = np.where(bound * np.exp(-beta * t_exp) > tol_tail,
+                         np.log(np.maximum(bound / tol_tail, 1.0)) / beta, t_exp)
+    a_nlos = params.alpha_nlos - 2.0  # positive, as SystemParams checks
+    with np.errstate(over="ignore"):
+        t_far = np.where(is_los, t_exp, (pref * s_arr * params.c_nlos * gbar
+                                         / (a_nlos * tol_tail)) ** (1.0 / a_nlos))
     t_far = np.minimum(t_far, 1e30)
     # Exponentially stretched map t = lo + q*(exp(Y*v) - 1): q is the
     # kernel transition radius (where the interferer term turns over),
@@ -480,11 +468,9 @@ def _exponent_each(segs: _Segments, params: SystemParams, s,
 
     def f(v: np.ndarray, k: np.ndarray) -> np.ndarray:
         col = k[:, None]
-        fin_k, lo_k, los_k = fin[col], lo[col], is_los[col]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             stretch = np.exp(y_span[col] * v)
-            t = np.where(fin_k, lo_k + span[col] * v, lo_k + q[col] * (stretch - 1.0))
-            jac = np.where(fin_k, span[col], q[col] * y_span[col] * stretch)
+            t = lo[col] + q[col] * (stretch - 1.0)
             x = sc[col] * t ** (-al[col])
             xm = x * g_main
             xs = x * g_side
@@ -493,8 +479,8 @@ def _exponent_each(segs: _Segments, params: SystemParams, s,
             y = pb * xm / (1.0 + xm) + (1.0 - pb) * xs / (1.0 + xs)
             one_minus_uk = -np.expm1(power[col] * np.log1p(-y))
             p_l = np.exp(-beta * t)
-            p = np.where(los_k, p_l, 1.0 - p_l)
-            vals = w[col] * one_minus_uk * (1.0 + mix[col] * (1.0 - y)) * p * t * jac
+            p = np.where(is_los[col], p_l, 1.0 - p_l)
+            vals = w[col] * one_minus_uk * p * t * (q[col] * y_span[col] * stretch)
         # t = 0 endpoints produce transient non-finite intermediates
         return np.where(np.isfinite(vals), vals, 0.0)
 
@@ -502,28 +488,39 @@ def _exponent_each(segs: _Segments, params: SystemParams, s,
     return out.reshape(shape)
 
 
-def _segments_general(blocks, params: SystemParams, r, serving_los,
-                      home_operator: int) -> _Segments:
-    """Segments of the block decomposition, shape r.shape + (blocks, 2).
+def _block_classes(blocks, home_operator: int):
+    """Arrays (home, occupants, density): the blocks summed by home membership and size.
+
+    Blocks of one class have the same interference integrand, so the sum
+    is exact; n operators make at most 2n classes.
+    """
+    classes: dict[tuple[bool, int], float] = {}
+    for subset, lam in blocks:
+        key = (home_operator in subset, len(subset))
+        classes[key] = classes.get(key, 0.0) + lam
+    home, occupants = np.array(list(classes)).reshape(-1, 2).T
+    return home.astype(bool), occupants, np.array(list(classes.values()))
+
+
+def _segments_general(classes, params: SystemParams, r, serving_los) -> _Segments:
+    """Segments of the _block_classes ``classes``, shape r.shape + (classes, 2).
 
     ``r`` and ``serving_los`` broadcast together; the last axis holds the
-    interferer link type (LOS, NLOS).  Home-network blocks start at the
+    interferer link type (LOS, NLOS).  Home-network classes start at the
     serving distance (same link type) or the exclusion radius (other
-    type); the other blocks start at 0.
+    type); the other classes start at 0.
     """
+    home, occupants, lam = classes
     r = np.asarray(r, dtype=float)[..., None, None]
     serving_los = np.asarray(serving_los, dtype=bool)[..., None, None]
     d = exclusion_radius(params, r, serving_los)
     near = np.concatenate(np.broadcast_arrays(np.where(serving_los, r, d),
                                               np.where(serving_los, d, r)), axis=-1)
-    home = np.array([[home_operator in subset] for subset, _ in blocks])
     return _Segments(
-        weight=np.array([[2.0 * np.pi * lam] for _, lam in blocks]),
-        power=np.array([[len(subset)] for subset, _ in blocks]),
-        mix=0.0,
+        weight=2.0 * np.pi * lam[:, None],
+        power=occupants[:, None],
         los=np.array([True, False]),
-        lower=np.where(home, near, 0.0),
-        upper=np.inf,
+        lower=np.where(home[:, None], near, 0.0),
     )
 
 
@@ -542,7 +539,8 @@ def laplace_general(scenario, params: SystemParams, subset: OperatorSet, serving
     if s < 0:
         raise ConfigError("Laplace argument must be >= 0")
     operator_density_of(scenario, home_operator)  # rejects anything but a scenario
-    segs = _segments_general(scenario.blocks(), params, r, serving_los, home_operator)
+    segs = _segments_general(_block_classes(scenario.blocks(), home_operator), params, r,
+                             serving_los)
     total = float(_exponent_each(segs, params, s, 1e-11, 1e-9).sum())
     co = interference_kernel(params, s, r, serving_los) ** (len(subset) - 1)
     return float(co * math.exp(-total))
@@ -661,9 +659,7 @@ def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
     _exponent_each call.
     """
     lam_home = operator_density_of(scenario, home_operator)
-    blocks = scenario.blocks()
-    home_k = np.array([len(sub) for sub, _ in blocks if home_operator in sub])
-    home_lam = np.array([lam for sub, lam in blocks if home_operator in sub])
+    classes = home, occupants, lam = _block_classes(scenario.blocks(), home_operator)
     q = r_max * _OUTER_KNEE
     y_span = math.log1p(r_max / q)
 
@@ -682,11 +678,11 @@ def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
         if include_interference:
             live = np.flatnonzero(vals)
             r, s, los = r[live], s[live], los[live]
-            segs = _segments_general(blocks, params, r, los, home_operator)
+            segs = _segments_general(classes, params, r, los)
             expo = _exponent_each(segs, params, s[:, None, None])
             u_r = interference_kernel(params, s, r, los)
             vals[live] = (vals[live] * np.exp(-expo.reshape(live.size, -1).sum(axis=1))
-                          * np.sum(home_lam * u_r[:, None] ** (home_k - 1), axis=1))
+                          * np.sum(lam[home] * u_r[:, None] ** (occupants[home] - 1), axis=1))
         else:
             vals *= lam_home
         return ((vals[:n] + vals[n:]) * q * y_span * stretch).reshape(v.shape)
@@ -760,6 +756,7 @@ def median_rate(scenario, params: SystemParams, home_operator: int = 1, *,
     """
     lam_home = operator_density_of(scenario, home_operator)
 
+    @cache  # _brentq evaluates the bracket end that was just checked
     def excess(rate_bps: float) -> float:
         thr = rate_sinr_threshold(rate_bps, params, lam_home)
         return float(_coverage_linear(scenario, params, np.array([thr]), home_operator)[0]) - 0.5

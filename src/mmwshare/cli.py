@@ -105,10 +105,10 @@ def _lambda0_km2(args) -> float:
     return DEFAULT_LAMBDA0_PER_KM2 if args.lambda0 is None else args.lambda0
 
 
-def _lambda0_per_m2(km2: float) -> float:
-    """--lambda0 in SI units, checked in the per-km^2 units it was given in."""
+def _density_per_m2(km2: float, flag: str) -> float:
+    """A density option in SI units, checked in the per-km^2 units it was given in."""
     if not (math.isfinite(km2) and km2 > 0):
-        raise ConfigError(f"--lambda0 must be a positive density per km^2, got {km2:g}")
+        raise ConfigError(f"--{flag} must be a positive density per km^2, got {km2:g}")
     return km2 / KM2
 
 
@@ -144,7 +144,8 @@ def _sharing(args) -> tuple[str, float] | None:
 def _sharing_spec(mode: str, rho: float, lambda0_km2: float) -> tuple[TwoOpSpec, str]:
     """The FID or FCD scenario and its ``rho=..., lambda0=...`` text."""
     make = fid_scenario if mode == "fid" else fcd_scenario
-    return make(_lambda0_per_m2(lambda0_km2), rho), f"rho={rho!r}, lambda0={lambda0_km2!r}/km^2"
+    spec = make(_density_per_m2(lambda0_km2, "lambda0"), rho)
+    return spec, f"rho={rho!r}, lambda0={lambda0_km2!r}/km^2"
 
 
 def _resolve_scenario(args):
@@ -237,8 +238,8 @@ def cmd_simulate(args) -> int:
         half_width_m=half,
         workers=args.threads,
     )
-    out = _out_dir(args)
     result = montecarlo.run_simulation(scenario, params, plan)
+    out = _out_dir(args)  # after the run, so that a rejected window leaves no --out
     result.curve.to_csv(out / "sinr_empirical.csv")
     print(f"wrote {out / 'sinr_empirical.csv'}")
     if rates is not None:
@@ -297,8 +298,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_press(args) -> int:
+    target = _density_per_m2(args.target_density, "target-density")
     dep = geometry.read_deployment_csv(args.deployment)
-    pressed = geometry.press(dep, args.target_density / KM2, operator=args.operator)
+    pressed = geometry.press(dep, target, operator=args.operator)
     out = _out_dir(args)
     geometry.write_deployment_csv(pressed, out / "pressed.csv")
     print(f"wrote {out / 'pressed.csv'}")
@@ -310,7 +312,7 @@ def cmd_press(args) -> int:
 def cmd_compare(args) -> int:
     params = _load_params(args)
     rhos = parse_rhos(args.rhos) if args.rhos else (0.0, 0.4, 1.0)
-    lam0 = _lambda0_per_m2(_lambda0_km2(args))
+    lam0 = _density_per_m2(_lambda0_km2(args), "lambda0")
     rates = parse_grid(args.rates or DEFAULT_RATE_GRID_MBPS, "rates") * 1e6
     half_b = dataclasses.replace(params, bandwidth_hz=params.bandwidth_hz / 2.0)
     runs: list[tuple[str, object, SystemParams]] = []

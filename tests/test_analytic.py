@@ -199,6 +199,23 @@ def test_adaptive_gk21_budget_error_names_only_the_spent_component():
                       max_panels=4)
 
 
+def test_gk21_panel_does_not_depend_on_its_batch():
+    # a BLAS matrix-vector product in the row sums would round a row by its batch
+    rng = np.random.default_rng(7)
+    n = 2 * analytic._PANELS_PER_CALL + 37
+    lo = rng.uniform(0.0, 5.0, n)
+    hi = lo + rng.uniform(0.01, 2.0, n)
+    scale = rng.uniform(0.5, 20.0, n)
+
+    def f(x, k):  # plain arithmetic, rounded the same in any batch
+        return 1.0 / (1.0 + (scale[k][:, None] * x) ** 2) + x**3
+
+    val, err = analytic._gk21(f, lo, hi, np.arange(n))
+    for j in range(n):
+        one_val, one_err = analytic._gk21(f, lo[j:j + 1], hi[j:j + 1], np.array([j]))
+        assert (one_val[0], one_err[0]) == (val[j], err[j])
+
+
 # ---------------------------------------------------------------------------
 # Association distribution
 
@@ -472,15 +489,39 @@ def test_sinr_coverage_matches_golden_curve(name):
     assert np.max(np.abs(got - np.array(ref["probability"]))) <= 1e-6
 
 
-def test_three_operator_table_matches_golden(tmp_path):
+def test_three_operator_table_matches_golden(tmp_path, monkeypatch):
     ref = GOLDEN["three_op"]
     path = tmp_path / "three_op.json"
     path.write_text(json.dumps({k: ref[k] for k in ("window_m", "densities_per_km2")}))
     model = mw.load_blocks_file(path)
     got = mw.sinr_coverage(model, P, ref["thresholds_db"]).probabilities
     assert np.max(np.abs(got - np.array(ref["probability"]))) <= 1e-6
+    # the median root finder evaluates each rate once, the bracket end included
+    coverage, thresholds = analytic._coverage_linear, []
+
+    def counted(scenario, params, thresholds_lin, *args, **kwargs):
+        thresholds.extend(thresholds_lin.tolist())
+        return coverage(scenario, params, thresholds_lin, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "_coverage_linear", counted)
     med = mw.median_rate(model, P)
     assert abs(med - ref["median_rate_bps"]) <= 1e-6 * ref["median_rate_bps"]
+    assert len(thresholds) == len(set(thresholds)) >= 3
+
+
+def test_blocks_of_one_class_merge_exactly():
+    # {2}/{3} and {1,2}/{1,3} interfere alike with operator 1: summing each
+    # pair into one block leaves operator 1's coverage unchanged
+    split = {mw.OperatorSet.of(*map(int, k.split(";"))): v / KM2
+             for k, v in GOLDEN["three_op"]["densities_per_km2"].items()}
+    merged = dict(split)
+    for keep, fold in (((2,), (3,)), ((1, 2), (1, 3))):
+        merged[mw.OperatorSet.of(*keep)] += merged.pop(mw.OperatorSet.of(*fold))
+    window = mw.Window.square(3300.0)
+    thresholds = 10.0 ** (np.array([-10.0, 0.0, 10.0, 20.0, 30.0]) / 10.0)
+    got_split, got_merged = (analytic._coverage_linear(mw.BlockModel(window, d), P, thresholds)
+                             for d in (split, merged))
+    assert np.max(np.abs(got_split - got_merged)) <= 1e-12
 
 
 def test_median_rate_halves_the_rate_ccdf():

@@ -291,10 +291,12 @@ def test_press_rescales_to_target(tmp_path):
 
 
 @pytest.mark.parametrize("flags, code, message", [
-    (["--target-density", "nan"], 2, "target density must be positive"),
+    # the density is checked in the per-km^2 units it was typed in
+    (["--target-density", "nan"], 2, "must be a positive density per km^2, got nan"),
+    (["--target-density", "-5"], 2, "--target-density must be a positive density per km^2, got -5"),
     (["--target-density", "10", "--operator", "40"], 2, "operator index must be"),
     (["--target-density", "10", "--operator", "2"], 3, "no sites for the selected operator"),
-], ids=["nan-density", "bad-operator", "absent-operator"])
+], ids=["nan-density", "negative-density", "bad-operator", "absent-operator"])
 def test_press_rejects_bad_input_without_output(tmp_path, capsys, flags, code, message):
     dep = mw.couple_two_operators(mw.fid_scenario(40.0 / KM2, 0.5), mw.Window.square(2000.0),
                                   seed=9)
@@ -356,9 +358,12 @@ def test_unknown_preset_is_config_error(tmp_path):
     (["estimate", "--fcd", "0.4", "--window-km", "nan"], "positive width in km, got nan"),
     (["estimate", "--fcd", "0.4", "--window-km", "inf"], "positive width in km, got inf"),
     (["estimate", "--fcd", "0.4", "--window-km", "0"], "positive width in km, got 0"),
+    (["simulate", "--fid", "0.4", "--window-km", "1", "--reps", "10"],
+     "is below the truncation radius"),
 ], ids=["analyze-fid", "simulate-fcd", "estimate-fid", "analyze-threads",
         "simulate-window-nan", "simulate-window-inf", "simulate-window-negative",
-        "estimate-window-nan", "estimate-window-inf", "estimate-window-zero"])
+        "estimate-window-nan", "estimate-window-inf", "estimate-window-zero",
+        "simulate-window-small"])
 def test_malformed_sharing_value_or_thread_count_exits_2_without_output(tmp_path, capsys, argv,
                                                                         message):
     out = tmp_path / "out"
