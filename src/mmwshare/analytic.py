@@ -6,9 +6,11 @@ multiplying the noise factor by the interference Laplace transform, and
 integrating against the association-distance density.
 
 Interference Laplace transforms reduce to products of exponentials of
-semi-infinite integrals, one per (block class, interferer link type) segment.
-Each is mapped onto [0, 1) by a stretched substitution t = lower +
-q*(exp(Y*v) - 1) and truncated where an analytic tail bound vanishes.
+semi-infinite integrals, one per (home-network or other blocks, interferer
+link type) segment: blocks of k occupants add lam*(1 - u)*(1 + u + ... +
+u^(k-1)) to a polynomial in the interferer kernel u.  Each is mapped onto
+[0, 1) by a stretched substitution t = lower + q*(exp(Y*v) - 1) and
+truncated where an analytic tail bound vanishes.
 
 Both integration levels use one adaptive 21-point Gauss-Kronrod routine
 (QUADPACK qk21 panels) in which every component keeps its own panels and
@@ -403,15 +405,24 @@ def adaptive_gk21(f, a: float, b: float, n: int, *, epsabs: float = 1e-9,
 class _Segments(NamedTuple):
     """Exponent integrals of interference Laplace transforms, as arrays.
 
-    Element i contributes weight * int_lower^inf (1 - u^power) p_tau(t) t dt
-    to a log transform, where u is the single-interferer kernel of link
-    type ``los``.  The fields broadcast together.
+    Element i contributes int_lower^inf (1 - u) P(u) p_tau(t) t dt to a log
+    transform, where u is the single-interferer kernel of link type ``los``
+    and P(u) = sum_j coef[i, j] u^j.  The fields broadcast together over
+    all but coef's last axis, which holds the coefficients.
     """
 
-    weight: np.ndarray
-    power: np.ndarray
+    coef: np.ndarray
     los: np.ndarray
     lower: np.ndarray
+
+
+def _times_poly(y, coef):
+    """y * P(1 - y), P(u) = sum_j coef[j] u^j by Horner: 1 - (1 - y)^k for k unit coefficients."""
+    u = 1.0 - y
+    acc = coef[-1]
+    for c in coef[-2::-1]:
+        acc = acc * u + c
+    return y * acc
 
 
 def _exponent_each(segs: _Segments, params: SystemParams, s,
@@ -419,17 +430,20 @@ def _exponent_each(segs: _Segments, params: SystemParams, s,
     """Every exponent integral of ``segs``, evaluated in one batched adaptive pass.
 
     ``s`` broadcasts against the segment fields and the result has their
-    common shape.  Zero-weight entries and entries with s = 0 cost nothing
-    and return exactly 0, preserving factor identities.
+    common shape.  Zero-polynomial entries and entries with s = 0 cost
+    nothing and return exactly 0, preserving factor identities.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in segs), np.shape(s))
-    w, power, is_los, lo, s_arr = (
-        np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in (*segs, s))
-    out = np.zeros(w.size)
-    live = np.flatnonzero((w > 0.0) & (s_arr > 0.0))
+    coef = np.asarray(segs.coef, dtype=float)
+    shape = np.broadcast_shapes(coef.shape[:-1], *(np.shape(a) for a in segs[1:]), np.shape(s))
+    coef = np.broadcast_to(coef, shape + coef.shape[-1:]).reshape(-1, coef.shape[-1])
+    is_los, lo, s_arr = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
+                         for a in (*segs[1:], s))
+    pref = coef.sum(axis=1)  # P(u) <= P(1) = sum_c 2*pi*lam_c*k_c
+    out = np.zeros(pref.size)
+    live = np.flatnonzero((pref > 0.0) & (s_arr > 0.0))
     if live.size == 0:
         return out.reshape(shape)
-    w, power, is_los, lo, s_arr = (a[live] for a in (w, power, is_los, lo, s_arr))
+    coef, pref, is_los, lo, s_arr = (a[live] for a in (coef, pref, is_los, lo, s_arr))
     is_los = is_los > 0.0
     c = np.where(is_los, params.c_los, params.c_nlos)
     al = np.where(is_los, params.alpha_los, params.alpha_nlos)
@@ -439,11 +453,10 @@ def _exponent_each(segs: _Segments, params: SystemParams, s,
 
     # Segments are truncated where an analytic bound on the remainder
     # drops below a tenth of the absolute tolerance, using
-    # 1 - u^k <= k * min(1, s*c*gbar*t^(-alpha)): a power-law bound for
-    # NLOS tails and an exp(-beta*t) bound for LOS.
+    # (1 - u) P(u) <= P(1) * min(1, s*c*gbar*t^(-alpha)): a power-law bound
+    # for NLOS tails and an exp(-beta*t) bound for LOS.
     gbar = pb * g_main + (1.0 - pb) * g_side
     tol_tail = max(0.1 * epsabs, 1e-300)
-    pref = w * power
     c_los_bound = pref / beta**2
     t_exp = np.maximum(lo, 1.0 / beta)
     for _ in range(8):
@@ -474,13 +487,12 @@ def _exponent_each(segs: _Segments, params: SystemParams, s,
             x = sc[col] * t ** (-al[col])
             xm = x * g_main
             xs = x * g_side
-            # 1 - u without cancellation at small x; 1 - u^k via log1p/expm1
-            # so the integrand stays smooth to machine precision in the tail
+            # 1 - u without cancellation at small x, so the integrand
+            # stays smooth to machine precision in the tail
             y = pb * xm / (1.0 + xm) + (1.0 - pb) * xs / (1.0 + xs)
-            one_minus_uk = -np.expm1(power[col] * np.log1p(-y))
             p_l = np.exp(-beta * t)
             p = np.where(is_los[col], p_l, 1.0 - p_l)
-            vals = w[col] * one_minus_uk * p * t * (q[col] * y_span[col] * stretch)
+            vals = _times_poly(y, coef[k].T[..., None]) * p * t * (q[col] * y_span[col] * stretch)
         # t = 0 endpoints produce transient non-finite intermediates
         return np.where(np.isfinite(vals), vals, 0.0)
 
@@ -503,25 +515,25 @@ def _block_classes(blocks, home_operator: int):
 
 
 def _segments_general(classes, params: SystemParams, r, serving_los) -> _Segments:
-    """Segments of the _block_classes ``classes``, shape r.shape + (classes, 2).
+    """Segments of the _block_classes ``classes``, shape r.shape + (2, 2).
 
-    ``r`` and ``serving_los`` broadcast together; the last axis holds the
-    interferer link type (LOS, NLOS).  Home-network classes start at the
-    serving distance (same link type) or the exclusion radius (other
-    type); the other classes start at 0.
+    ``r`` and ``serving_los`` broadcast together.  Axis -2 holds the home-
+    network classes, then the others, each side summed into one polynomial
+    whose coefficient j is 2*pi times the density of the side's classes of
+    more than j occupants; axis -1 holds the interferer link type (LOS,
+    NLOS).  The home side starts at the serving distance (same link type)
+    or the exclusion radius (other type); the other side starts at 0.
     """
     home, occupants, lam = classes
+    more = occupants > np.arange(occupants.max())[:, None]  # (degree, classes)
+    coef = 2.0 * np.pi * np.where(np.array([home, ~home])[:, None] & more, lam, 0.0).sum(-1)
     r = np.asarray(r, dtype=float)[..., None, None]
     serving_los = np.asarray(serving_los, dtype=bool)[..., None, None]
     d = exclusion_radius(params, r, serving_los)
     near = np.concatenate(np.broadcast_arrays(np.where(serving_los, r, d),
                                               np.where(serving_los, d, r)), axis=-1)
-    return _Segments(
-        weight=2.0 * np.pi * lam[:, None],
-        power=occupants[:, None],
-        los=np.array([True, False]),
-        lower=np.where(home[:, None], near, 0.0),
-    )
+    return _Segments(coef=coef[:, None], los=np.array([True, False]),
+                     lower=np.where([[True], [False]], near, 0.0))
 
 
 def laplace_general(scenario, params: SystemParams, subset: OperatorSet, serving_los: bool,
@@ -698,8 +710,9 @@ def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
     """Coverage at linear SINR thresholds.
 
     With workers > 1 the grid is split into contiguous chunks, one per
-    worker process; each threshold's integral is refined on its own, so
-    the values do not depend on the split.
+    worker process and at least 4 thresholds each, as a pool costs more
+    than it saves on fewer; each threshold's integral is refined on its
+    own, so the values do not depend on the split.
     """
     if params.fading.kind != "rayleigh":
         raise ConfigError(
@@ -712,7 +725,7 @@ def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
     run = partial(_coverage_chunk, scenario=scenario, params=params,
                   home_operator=home_operator, include_interference=include_interference,
                   r_max=truncation_radius(lam_home, params))
-    chunks = np.array_split(thresholds_lin, pool_size(workers, thresholds_lin.size))
+    chunks = np.array_split(thresholds_lin, pool_size(workers, thresholds_lin.size // 4))
     if len(chunks) == 1:
         return run(thresholds_lin)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
@@ -752,7 +765,8 @@ def median_rate(scenario, params: SystemParams, home_operator: int = 1, *,
     """The rate R solving P(Rate > R) = 1/2, by bracketed root finding.
 
     Raises NumericalError when the coverage curve does not cross 1/2
-    below the rate equivalent of an SINR of 1e4 (40 dB).
+    below the rate equivalent of an SINR of 1e4 (40 dB).  It runs serially
+    in the calling process: each Brent iterate needs the one before it.
     """
     lam_home = operator_density_of(scenario, home_operator)
 

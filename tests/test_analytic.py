@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,50 @@ def test_laplace_factors_multiply_to_transform():
     assert float(np.prod(f)) == pytest.approx(val, rel=1e-12)
 
 
+def test_polynomial_segment_equals_its_block_classes():
+    # classes of 1, 2 and 3 occupants; row c holds 2*pi*lam_c on its c + 1 coefficients
+    one_class = np.tril(np.ones((3, 3))) * 2 * np.pi * np.array([[10.0], [20.0], [5.0]]) / KM2
+    # SINR thresholds 1e-3..1e3 on a 100 m LOS serving link
+    s = (np.logspace(-3, 3, 13) * 100.0**2 / (P.c_los * P.gain_main))[:, None, None]
+    los, lower = np.array([True, False]), np.array([[0.0], [80.0]])
+    merged = analytic._exponent_each(analytic._Segments(one_class.sum(axis=0), los, lower),
+                                     P, s, 1e-11, 1e-9)
+    each = analytic._exponent_each(analytic._Segments(one_class[:, None, None, None], los, lower),
+                                   P, s, 1e-11, 1e-9)
+    assert merged.shape == (13, 2, 2) and np.all(merged > 0)
+    # each integral drops a tail of at most epsabs/10: 3e-12 for the three classes
+    assert np.allclose(merged, each.sum(axis=0), rtol=1e-10, atol=3e-12)
+
+
+def test_polynomial_is_one_minus_kernel_power_to_machine_precision():
+    x = np.logspace(-12, 6, 400)  # kernel argument s*c*t^(-alpha)
+    xm, xs, pb = x * P.gain_main, x * P.gain_side, P.main_lobe_prob
+    y = pb * xm / (1.0 + xm) + (1.0 - pb) * xs / (1.0 + xs)
+    for k in range(1, mw.core.MAX_OPERATORS + 1):
+        want = -np.expm1(k * np.log1p(-y))
+        assert np.allclose(analytic._times_poly(y, np.ones(k)), want, rtol=1e-14, atol=0.0)
+
+
+def test_coverage_integrates_four_segments_per_serving_node(monkeypatch):
+    # one polynomial per (home or other classes) x (LOS, NLOS), not one segment per class
+    components, nodes = [], []
+    quad, segments = analytic.adaptive_gk21, analytic._segments_general
+
+    def counted_quad(f, a, b, n, **kw):
+        components.append(n)
+        return quad(f, a, b, n, **kw)
+
+    def counted_segments(classes, params, r, serving_los):
+        nodes.append(np.size(r))
+        return segments(classes, params, r, serving_los)
+
+    monkeypatch.setattr(analytic, "adaptive_gk21", counted_quad)
+    monkeypatch.setattr(analytic, "_segments_general", counted_segments)
+    analytic._coverage_linear(_three_op_model(), P, 10.0 ** (np.array([0.0, 8.8, 20.0]) / 10.0))
+    assert components[0] == 3  # the outer integral, one component per threshold
+    assert len(nodes) > 1 and components[1:] == [4 * m for m in nodes]
+
+
 def test_laplace_general_validation():
     spec = mw.fid_scenario(30.0 / KM2, 0.4)
     with pytest.raises(ConfigError):
@@ -469,15 +514,40 @@ def test_coverage_curve_csv_round_trip(tmp_path):
         mw.CoverageCurve.from_csv(bad)
 
 
-def test_sinr_coverage_does_not_depend_on_workers():
-    spec = mw.fid_scenario(30.0 / KM2, 0.4)
-    grid = [-10.0, 0.0, 10.0, 20.0, 30.0]
-    one = mw.sinr_coverage(spec, P, grid, workers=1).probabilities
-    two = mw.sinr_coverage(spec, P, grid, workers=2).probabilities
-    assert np.max(np.abs(one - two)) <= 1e-12
-
-
 GOLDEN = json.loads((Path(__file__).parent / "data" / "analytic_golden.json").read_text())
+
+
+def _three_op_model():
+    return mw.BlockModel(mw.Window.square(3300.0), {
+        mw.OperatorSet.of(*map(int, k.split(";"))): v / KM2
+        for k, v in GOLDEN["three_op"]["densities_per_km2"].items()})
+
+
+def test_sinr_coverage_does_not_depend_on_workers(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pools, executor = [], analytic.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "ProcessPoolExecutor", counted)
+    grid = np.linspace(-10.0, 30.0, 12)
+    for scenario in (mw.fid_scenario(30.0 / KM2, 0.4), _three_op_model()):
+        one, two, three = (mw.sinr_coverage(scenario, P, grid, workers=w).probabilities
+                           for w in (1, 2, 3))
+        assert np.array_equal(one, two) and np.array_equal(one, three)
+    assert pools == [2, 3, 2, 3]  # one worker per 4 thresholds
+
+
+def test_few_thresholds_start_no_pool(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("2 thresholds must not start a process pool")
+
+    monkeypatch.setattr(analytic, "ProcessPoolExecutor", no_pool)
+    mw.sinr_coverage(mw.fid_scenario(30.0 / KM2, 0.4), P, [0.0, 10.0], workers=2)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["curves"]))
