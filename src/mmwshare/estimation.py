@@ -84,9 +84,9 @@ def merge_colocated(dep: Deployment, eps_m: float = DEFAULT_MERGE_EPS_M) -> Depl
         close = d2 <= eps_m * eps_m
         labels = _components(n, i[close], j[close])
     k = int(labels.max()) + 1
-    pos = np.zeros((k, 2))
-    np.add.at(pos, labels, dep.xy)
+    # bincount sums each group in input order, as np.add.at does
     sizes = np.bincount(labels, minlength=k).astype(float)
+    pos = np.column_stack([np.bincount(labels, dep.xy[:, a], minlength=k) for a in (0, 1)])
     pos /= sizes[:, None]
     occ = np.zeros(k, dtype=np.uint16)
     np.bitwise_or.at(occ, labels, dep.occupants)

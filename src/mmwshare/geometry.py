@@ -6,7 +6,8 @@ reproduces the same realization, and distinct blocks/replications use
 explicitly spawned RNG streams so parallel use is order-independent.
 Fixed-radius neighbour searches (the co-location merge and
 ``clustered_thinning``) share one uniform-grid helper, ``near_pairs``, so
-the module needs NumPy alone.
+the module needs NumPy alone.  Site files are parsed in blocks of lines;
+a block refused hands the file to a row loop, the one source of errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -309,8 +310,12 @@ def near_pairs(xy: np.ndarray, r: float,
 
 CSV_HEADER = ("site_id", "x_m", "y_m", "operators")
 _WINDOW_COMMENT = "# window_m"
-# Rows turned into Python values at a time, which bounds the writer's memory.
+# Rows turned into Python values at a time, which bounds the writer's memory,
+# and lines the reader parses at a time, which bounds its own.
 _WRITE_BLOCK_ROWS = 4096
+_READ_BLOCK_ROWS = 4096
+# site_id is never read, so one character of it spares a string per row
+_ROW_DTYPE = np.dtype([("site_id", "U1"), ("x", "f8"), ("y", "f8"), ("operators", "O")])
 
 
 def write_deployment_csv(dep: Deployment, path: str | Path) -> None:
@@ -356,8 +361,9 @@ def read_deployment_csv(path: str | Path, window: Window | None = None) -> Deplo
     Window resolution order: explicit argument, the optional window
     comment line, else the sites' bounding box (padded to positive area).
     Blank rows are skipped and do not count in the row numbers of errors.
-    The file is read in one pass, and each distinct operator text is
-    parsed once.
+    The body is parsed in blocks of lines, each operator text once; a
+    block refused hands the whole body to a row loop, which alone decides
+    what a bad or unusual file reads as, and its errors.
     """
     path = Path(path)
     try:
@@ -397,15 +403,12 @@ def _first_undecodable_line(path: Path) -> int:
 
 def _read_rows(path: Path, fh) -> tuple[array, array, Window | None]:
     """Coordinates, occupant bitmasks and the window comment of an open site file."""
-    xy = array("d")
-    occ = array("H")
-    bits_of: dict[str, int] = {}
     first = fh.readline()
     file_window = None
     if first.startswith(_WINDOW_COMMENT):
         file_window = _read_window_comment(path, first)
         first = ""
-    rows = csv.reader(chain((first,), fh))
+    rows = csv.reader(chain((first,), iter(fh.readline, "")))  # readline keeps tell() working
     header = next((r for r in rows if "".join(r).strip()), None)
     if header is None:
         raise DataError(f"{path}: empty file (missing header)")
@@ -413,8 +416,16 @@ def _read_rows(path: Path, fh) -> tuple[array, array, Window | None]:
         raise DataError(
             f"{path}: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
         )
+    if fh.seekable():  # a pipe is read once, by the row loop
+        body = fh.tell()
+        if (columns := _read_blocks(fh)) is not None:
+            return *columns, file_window
+        fh.seek(body)  # the row loop alone decides what a refused body reads as or raises
+    xy = array("d")
+    occ = array("H")
+    bits_of: dict[str, int] = {}
     lineno = 1
-    for row in rows:
+    for row in csv.reader(fh):
         if not "".join(row).strip():
             continue
         lineno += 1
@@ -438,6 +449,35 @@ def _read_rows(path: Path, fh) -> tuple[array, array, Window | None]:
         xy.append(y)
         occ.append(bits)
     return xy, occ, file_window
+
+
+def _read_blocks(fh) -> tuple[array, array] | None:
+    """The body's columns, parsed in blocks of lines, or None if a block needs the row loop."""
+    xy = array("d")
+    occ = array("H")
+    bits_of: dict[str, int] = {}
+    try:
+        while lines := list(islice(fh, _READ_BLOCK_ROWS)):
+            if not any(map(str.strip, lines)):
+                continue  # blank rows only; loadtxt would warn of no data
+            rows = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+            block = np.column_stack((rows["x"], rows["y"]))
+            # a line over csv's field size limit is the csv module's error to raise
+            if not np.isfinite(block).all() or max(map(len, lines)) > csv.field_size_limit():
+                return None
+            texts = rows["operators"]
+            for text in set(texts).difference(bits_of):
+                # a quoted field cut at the block's end keeps its line break
+                if "\n" in text or "\r" in text:
+                    return None
+                bits_of[text] = OperatorSet.parse(text).bits
+            xy.frombytes(block.tobytes())
+            occ.frombytes(np.fromiter(map(bits_of.__getitem__, texts), np.uint16).tobytes())
+            del lines, rows, block, texts  # hold one block at a time
+    except ValueError:  # loadtxt's refusal, a bad operator text or bytes that are not UTF-8
+        return None
+    return xy, occ
 
 
 def _bounding_window(xy: np.ndarray, pad: float = 1.0) -> Window:

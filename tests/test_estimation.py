@@ -241,6 +241,21 @@ def test_merge_partitions_equal_scipy(seed):
             assert xy == pytest.approx(dep.xy[members].mean(axis=0), rel=1e-12, abs=1e-9)
 
 
+
+@pytest.mark.parametrize("seed", range(2))
+def test_merge_centroids_are_bitwise_the_add_at_sums(seed):
+    # the 200-site chain makes the summation order show in the last bits
+    dep = _tricky_sites(seed)
+    for eps in (3.7, 10.0, 60.0):
+        i, j, d2 = near_pairs(dep.xy, eps)
+        close = d2 <= eps * eps
+        labels = _components(dep.n_sites, i[close], j[close])  # numbered by first member
+        k = int(labels.max()) + 1
+        pos = np.zeros((k, 2))
+        np.add.at(pos, labels, dep.xy)
+        pos /= np.bincount(labels, minlength=k)[:, None]
+        assert np.array_equal(mw.merge_colocated(dep, eps).xy, pos), eps
+
 def _histogram_overlap(dep, n_bins, op1=1, op2=2):
     """The direct estimator as np.histogram2d computes it (the reference)."""
     k = int(np.sqrt(n_bins))

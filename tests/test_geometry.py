@@ -1,7 +1,19 @@
 """Point-process sampling, perturbations and CSV interchange."""
 
+import contextlib
+import csv
+import math
+import os
+import threading
+import tracemalloc
+import warnings
+from array import array
+from itertools import chain
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mmwshare as mw
 from mmwshare import ConfigError, DataError, geometry
@@ -287,6 +299,254 @@ def test_csv_writer_blocks_match_a_row_by_row_reference(tmp_path):
     for i in range(n):
         want.append(f"{i},{float(xy[i, 0])!r},{float(xy[i, 1])!r},{texts[int(occ[i])]}")
     assert path.read_text().split("\n") == want + [""]
+
+
+# ---------------------------------------------------------------------------
+# The block reader against the row-by-row reader as it was before it
+
+
+def _oracle_read_rows(path, fh):
+    """``_read_rows`` as it was before the block reader: the row loop alone."""
+    xy = array("d")
+    occ = array("H")
+    bits_of: dict[str, int] = {}
+    first = fh.readline()
+    file_window = None
+    if first.startswith(geometry._WINDOW_COMMENT):
+        file_window = geometry._read_window_comment(path, first)
+        first = ""
+    rows = csv.reader(chain((first,), fh))
+    header = next((r for r in rows if "".join(r).strip()), None)
+    if header is None:
+        raise DataError(f"{path}: empty file (missing header)")
+    if tuple(f.strip() for f in header) != geometry.CSV_HEADER:
+        raise DataError(
+            f"{path}: expected header {','.join(geometry.CSV_HEADER)!r}, got {','.join(header)!r}"
+        )
+    lineno = 1
+    for row in rows:
+        if not "".join(row).strip():
+            continue
+        lineno += 1
+        if len(row) != 4:
+            raise DataError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        try:
+            x = float(row[1])
+            y = float(row[2])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DataError(f"{path}:{lineno}: bad coordinate: ({x}, {y}) is not finite")
+        text = row[3]
+        bits = bits_of.get(text)
+        if bits is None:
+            try:
+                bits = bits_of[text] = mw.OperatorSet.parse(text).bits
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+        xy.append(x)
+        xy.append(y)
+        occ.append(bits)
+    return xy, occ, file_window
+
+
+def _outcome(path):
+    try:
+        dep = mw.read_deployment_csv(path)
+    except (ValueError, csv.Error) as exc:  # DataError is a ValueError
+        return type(exc), str(exc)
+    return dep.window, dep.xy.tobytes(), dep.occupants.tobytes()
+
+
+def _read_as_oracle(path):
+    """Assert the reader matches the oracle on ``path``; True if the row loop ran."""
+    with mock.patch.object(geometry, "_read_rows", _oracle_read_rows):
+        want = _outcome(path)
+    refused = []
+    read_blocks = geometry._read_blocks
+
+    def spy(fh):
+        columns = read_blocks(fh)
+        refused.append(columns is None)
+        return columns
+
+    with mock.patch.object(geometry, "_read_blocks", spy):
+        assert _outcome(path) == want
+    return any(refused)
+
+
+def _good(i):
+    return f"{i},{i % 97}.5,{i % 89}.25,{(1, 2, '1;2')[i % 3]}\n"
+
+
+def _site_file(tmp_path, rows, window=True, name="sites.csv"):
+    path = tmp_path / name
+    head = "# window_m,-10.0,1000.0,-10.0,1000.0\n" if window else ""
+    path.write_bytes((head + "site_id,x_m,y_m,operators\n" + "".join(rows)).encode())
+    return path
+
+
+B = geometry._READ_BLOCK_ROWS
+_GOOD = [_good(i) for i in range(3 * B)]
+
+
+def _in_block(k, *rows, at=5):
+    """Three blocks of good rows with ``rows`` put in block k (0-based) from line ``at``."""
+    return _GOOD[:k * B + at] + list(rows) + _GOOD[k * B + at + len(rows):]
+
+
+@pytest.mark.parametrize("rows, loop", [
+    (_GOOD, False),
+    (_in_block(0, '"7","1.5","2.5","1;2"\n', '8,3.0,4.0," 2 "\n'), False),
+    # a quoted field whose line break ends block 0; block 1 would take the
+    # rest of the field for a good row
+    (_in_block(0, '9,1.0,2.0,"1\n', 'a",3.0,4.0,2\n', at=B - 1), True),
+    (_in_block(1, '9,1.0,2.0,"1\r\n', ';2"\r\n'), True),
+    (_in_block(1, "\n", "\r\n", "\n"), False),
+    (_GOOD[:B] + ["\n"] * B, False),
+    (_in_block(1, "   \n"), True),
+    (_in_block(1, ",,,\n"), True),
+    (_in_block(1, "\t\n"), True),
+    ([r.replace("\n", "\r\n") for r in _GOOD], False),
+    ([r.replace("\n", "\r") for r in _GOOD], False),
+    (_in_block(1, "9,1.0,2.0\n"), True),
+    (_in_block(1, "9,1.0,2.0,1,5\n"), True),
+    (_in_block(1, "9,1_0,2.0,1\n"), True),
+    (_in_block(1, "9,١٢,2.0,1\n"), True),
+    (_in_block(2, "9,inf,2.0,1\n"), True),
+    (_in_block(2, "9,1.0,nan,1\n"), True),
+    (_in_block(2, "9,1.0,2.0,1;x\n"), True),
+    (_in_block(2, "9,1.0,2.0,0\n"), True),
+    ([], False),
+], ids=["good", "quoted", "newline-at-block-end", "crlf-newline-in-quotes",
+        "empty-lines", "empty-last-block", "spaces-row", "commas-row", "tab-row", "crlf",
+        "cr", "3-columns", "5-columns", "underscore", "arabic-digits", "inf", "nan",
+        "bad-operator", "operator-0", "header-only"])
+def test_block_reader_reads_as_the_row_loop(tmp_path, rows, loop):
+    for window in (True, False):
+        assert _read_as_oracle(_site_file(tmp_path, rows, window)) == loop
+
+
+def test_block_reader_leaves_long_fields_and_late_bad_bytes_to_the_row_loop(tmp_path):
+    # a field over csv's size limit is the csv module's error, as before
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(64)
+        assert _read_as_oracle(_site_file(tmp_path, _in_block(2, f"{'9' * 80},1.0,2.0,1\n")))
+    finally:
+        csv.field_size_limit(limit)
+    # a bad row before bytes that are not UTF-8 in the same block is reported
+    # as the row, although the block cannot be read whole
+    rows = _in_block(0, "9,x,2.0,1\n")
+    rows[B - 10] = "9,1.0,2.0,@\n"
+    path = _site_file(tmp_path, rows)
+    path.write_bytes(path.read_bytes().replace(b"@", b"\xff1"))
+    assert _read_as_oracle(path)
+    assert _outcome(path)[1].endswith(":7: bad coordinate: could not convert string to float: 'x'")
+    path = _site_file(tmp_path, _GOOD)
+    path.write_bytes(path.read_bytes() + b"9,1.0,2.0,\xff1\n")
+    assert _read_as_oracle(path)
+    assert _outcome(path)[1].endswith(f"line {3 * B + 3}: not UTF-8 text (invalid start byte)")
+
+
+_ROW_KINDS = st.one_of(
+    st.builds(lambda i, x, y, ops: f"{i},{x!r},{y!r},{ops}",
+              st.integers(0, 99), st.floats(-10.0, 1000.0), st.floats(-10.0, 1000.0),
+              st.sampled_from(["1", "2", "1;2", " 2;1 ", '"1;2"', "3"])),
+    st.sampled_from([
+        "", "   ", ",,,", "\t", '"0","1.5","2.5","1;2"', '1,2.0,3.0,"1\n;2"', '1,2.0,3.0,"2',
+        '1,"2"0,3.0,1', "1,2.0,3.0", "1,2.0,3.0,1,5", "1,1_0,3.0,1", "1,١,3.0,1",
+        "1,inf,3.0,1", "1,2.0,nan,1", "1,2.0,3.0,1;x", "1,2.0,3.0,", '1,2.0,3.0,1"2',
+        "1,2e3,-3.0E-1,2", "1,2.0\xa0,3.0,1", 'a",3.0,4.0,2',
+    ]),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(_ROW_KINDS, st.sampled_from(["\n", "\r\n", "\r"])),
+                     max_size=12),
+       window=st.booleans(), block=st.integers(1, 4))
+def test_block_reader_reads_any_mix_of_rows_as_the_row_loop(tmp_path, rows, window, block):
+    path = _site_file(tmp_path, [row + end for row, end in rows], window)
+    with mock.patch.object(geometry, "_READ_BLOCK_ROWS", block):
+        _read_as_oracle(path)
+
+
+def test_block_reader_runs_no_row_loop_on_a_written_file(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 2 * B + 3
+    dep = mw.Deployment(WIN, rng.uniform(0.0, 5000.0, (n, 2)),
+                        rng.integers(1, 8, n).astype(np.uint16))
+    path = tmp_path / "sites.csv"
+    mw.write_deployment_csv(dep, path)
+    assert not _read_as_oracle(path)
+    back = mw.read_deployment_csv(path)
+    assert np.array_equal(back.xy, dep.xy) and np.array_equal(back.occupants, dep.occupants)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("rows", [_GOOD[:B + 5], _in_block(1, "9,1.0,2.0,1;x\n")],
+                         ids=["good", "bad-operator"])
+def test_a_pipe_reads_as_its_file(tmp_path, rows):
+    # a pipe cannot rewind to its first row, so the row loop reads it
+    path = _site_file(tmp_path, rows)
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError):  # the reader may stop at a bad row
+            pipe.write_bytes(path.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = _outcome(pipe)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert got == tuple(v.replace("sites.csv", "pipe.csv") if isinstance(v, str) else v
+                        for v in _outcome(path))
+
+
+def _traced_peak(path):
+    mw.read_deployment_csv(path)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        dep = mw.read_deployment_csv(path)
+        return tracemalloc.get_traced_memory()[1], dep.xy.nbytes + dep.occupants.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_reader_memory_is_bounded_by_one_block(tmp_path):
+    rng = np.random.default_rng(8)
+    peaks = []
+    for n in (B, 3 * B + 17):
+        dep = mw.Deployment(WIN, rng.uniform(0.0, 5000.0, (n, 2)),
+                            rng.integers(1, 8, n).astype(np.uint16))
+        mw.write_deployment_csv(dep, tmp_path / f"{n}.csv")
+        peaks.append(_traced_peak(tmp_path / f"{n}.csv"))
+    (one_block, _), (peak, out_bytes) = peaks
+    # the output arrays grow with the file; what parses a block must not
+    assert peak < one_block + 2 * out_bytes
+
+
+def test_block_reader_reports_a_bad_row_in_the_last_block_by_its_line(tmp_path):
+    path = _site_file(tmp_path, _GOOD + ["\n", "9,1.0,2.0,1;0\n"], name="late.csv")
+    with pytest.raises(DataError, match=rf"late\.csv:{3 * B + 2}: bad operator list '1;0'"):
+        mw.read_deployment_csv(path)
+
+
+def test_blank_bodies_read_without_warnings(tmp_path):
+    # loadtxt warns of "no data" on a block of empty lines
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in ([], ["\n", "\r\n"], _GOOD[:B] + ["\n"]):
+            dep = mw.read_deployment_csv(_site_file(tmp_path, rows))
+            assert dep.n_sites == len(rows) - rows.count("\n") - rows.count("\r\n")
+        with pytest.raises(DataError, match="empty deployment with no window metadata"):
+            mw.read_deployment_csv(_site_file(tmp_path, ["\n"], window=False))
 
 
 # ---------------------------------------------------------------------------
