@@ -571,10 +571,10 @@ def params_from_dict(data: Mapping, base: SystemParams | None = None) -> SystemP
 
 def _read_json_object(path: str | Path, what: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bytes not UTF-8, or nesting too deep
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} file {path} must hold a JSON object")

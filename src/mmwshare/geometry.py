@@ -6,8 +6,9 @@ reproduces the same realization, and distinct blocks/replications use
 explicitly spawned RNG streams so parallel use is order-independent.
 Fixed-radius neighbour searches (the co-location merge and
 ``clustered_thinning``) share one uniform-grid helper, ``near_pairs``, so
-the module needs NumPy alone.  Site files are parsed in blocks of lines;
-a block refused hands the file to a row loop, the one source of errors.
+the module needs NumPy alone.  Site files are read once, front to back,
+in blocks of lines; the first block refused hands itself and the rest of
+the file to a row loop, the one source of errors.
 """
 
 from __future__ import annotations
@@ -361,22 +362,17 @@ def read_deployment_csv(path: str | Path, window: Window | None = None) -> Deplo
     Window resolution order: explicit argument, the optional window
     comment line, else the sites' bounding box (padded to positive area).
     Blank rows are skipped and do not count in the row numbers of errors.
-    The body is parsed in blocks of lines, each operator text once; a
-    block refused hands the whole body to a row loop, which alone decides
-    what a bad or unusual file reads as, and its errors.
+    The file is read once, front to back, in blocks of lines; the first
+    block refused hands itself and the rest of the file to a row loop,
+    which alone decides what a bad or unusual row reads as, and its errors.
     """
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        fh = path.open(newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read deployment file {path}: {exc}") from exc
-    try:
-        with fh:
-            xy, occ, file_window = _read_rows(path, fh)
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path}: line {_first_undecodable_line(path)}: not UTF-8 text ({exc.reason})"
-        ) from exc
+    with fh:
+        xy, occ, file_window = _read_rows(path, fh)
     xy = np.frombuffer(xy, dtype=np.float64).reshape(-1, 2)
     if window is None:
         window = file_window
@@ -390,94 +386,98 @@ def read_deployment_csv(path: str | Path, window: Window | None = None) -> Deplo
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _first_undecodable_line(path: Path) -> int:
-    """1-based number of the first line that is not UTF-8 (0 if none is)."""
-    with path.open("rb") as fh:
-        for n, raw in enumerate(fh, 1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return n
-    return 0
+def _utf8_lines(path: Path, lines, start: int):
+    """``lines``, numbered on from ``start``; the first not UTF-8 raises its DataError."""
+    for n, line in enumerate(lines, start + 1):
+        try:  # the bytes the decoder escaped, decoded again
+            line.encode(errors="surrogateescape").decode()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: line {n}: not UTF-8 text ({exc.reason})") from None
+        yield line
 
 
 def _read_rows(path: Path, fh) -> tuple[array, array, Window | None]:
     """Coordinates, occupant bitmasks and the window comment of an open site file."""
-    first = fh.readline()
+    head = _utf8_lines(path, fh, 0)
+    first = next(head, "")
     file_window = None
     if first.startswith(_WINDOW_COMMENT):
         file_window = _read_window_comment(path, first)
-        first = ""
-    rows = csv.reader(chain((first,), iter(fh.readline, "")))  # readline keeps tell() working
-    header = next((r for r in rows if "".join(r).strip()), None)
+        first = ""  # read as one blank line, so line_num still counts the file's lines
+    rows = csv.reader(chain((first,), head))
+    try:
+        header = next((r for r in rows if "".join(r).strip()), None)
+    except csv.Error as exc:
+        raise DataError(f"{path}:1: {exc}") from exc
     if header is None:
         raise DataError(f"{path}: empty file (missing header)")
     if tuple(f.strip() for f in header) != CSV_HEADER:
         raise DataError(
             f"{path}: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
         )
-    if fh.seekable():  # a pipe is read once, by the row loop
-        body = fh.tell()
-        if (columns := _read_blocks(fh)) is not None:
-            return *columns, file_window
-        fh.seek(body)  # the row loop alone decides what a refused body reads as or raises
-    xy = array("d")
-    occ = array("H")
+    xy, occ = array("d"), array("H")
+    done, lines = _read_blocks(fh, xy, occ)
+    if not lines:
+        return xy, occ, file_window
+    # the row loop reads the refused block and the rest of the file
     bits_of: dict[str, int] = {}
-    lineno = 1
-    for row in csv.reader(fh):
-        if not "".join(row).strip():
-            continue
-        lineno += 1
-        if len(row) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-        try:
-            x = float(row[1])
-            y = float(row[2])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DataError(f"{path}:{lineno}: bad coordinate: ({x}, {y}) is not finite")
-        text = row[3]
-        bits = bits_of.get(text)
-        if bits is None:
+    lineno = 1 + len(occ)
+    try:
+        for row in csv.reader(_utf8_lines(path, chain(lines, fh), rows.line_num + done)):
+            if not "".join(row).strip():
+                continue
+            lineno += 1
+            if len(row) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
             try:
-                bits = bits_of[text] = OperatorSet.parse(text).bits
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-        xy.append(x)
-        xy.append(y)
-        occ.append(bits)
+                x, y = float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DataError(f"{path}:{lineno}: bad coordinate: ({x}, {y}) is not finite")
+            text = row[3]
+            bits = bits_of.get(text)
+            if bits is None:
+                try:
+                    bits = bits_of[text] = OperatorSet.parse(text).bits
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
+            xy.extend((x, y))
+            occ.append(bits)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise DataError(f"{path}:{lineno + 1}: {exc}") from exc
     return xy, occ, file_window
 
 
-def _read_blocks(fh) -> tuple[array, array] | None:
-    """The body's columns, parsed in blocks of lines, or None if a block needs the row loop."""
-    xy = array("d")
-    occ = array("H")
+def _read_blocks(fh, xy: array, occ: array) -> tuple[int, list[str]]:
+    """Append the body's rows to ``xy`` and ``occ`` a block of lines at a time, up to the
+    first block the row loop must read: the lines read before it, and that block."""
     bits_of: dict[str, int] = {}
-    try:
-        while lines := list(islice(fh, _READ_BLOCK_ROWS)):
-            if not any(map(str.strip, lines)):
-                continue  # blank rows only; loadtxt would warn of no data
-            rows = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
-            block = np.column_stack((rows["x"], rows["y"]))
-            # a line over csv's field size limit is the csv module's error to raise
-            if not np.isfinite(block).all() or max(map(len, lines)) > csv.field_size_limit():
-                return None
-            texts = rows["operators"]
-            for text in set(texts).difference(bits_of):
-                # a quoted field cut at the block's end keeps its line break
-                if "\n" in text or "\r" in text:
-                    return None
-                bits_of[text] = OperatorSet.parse(text).bits
-            xy.frombytes(block.tobytes())
-            occ.frombytes(np.fromiter(map(bits_of.__getitem__, texts), np.uint16).tobytes())
-            del lines, rows, block, texts  # hold one block at a time
-    except ValueError:  # loadtxt's refusal, a bad operator text or bytes that are not UTF-8
-        return None
-    return xy, occ
+    done = 0
+    while lines := list(islice(fh, _READ_BLOCK_ROWS)):
+        try:
+            if any(map(str.strip, lines)):  # skip blank rows only: loadtxt warns of no data
+                "".join(lines).encode()  # a line that is not UTF-8 is the row loop's to name
+                rows = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1)
+                block = np.column_stack((rows["x"], rows["y"]))
+                # as are a value that is not finite and a line over csv's field size limit
+                if not np.isfinite(block).all() or max(map(len, lines)) > csv.field_size_limit():
+                    raise ValueError("a row for the row loop")
+                texts = rows["operators"]
+                for text in set(texts).difference(bits_of):
+                    # a quoted field cut at the block's end keeps its line break
+                    if "\n" in text or "\r" in text:
+                        raise ValueError("a row for the row loop")
+                    bits_of[text] = OperatorSet.parse(text).bits
+                xy.frombytes(block.tobytes())
+                occ.frombytes(np.fromiter(map(bits_of.__getitem__, texts), np.uint16).tobytes())
+                del rows, block, texts
+        except ValueError:  # loadtxt's refusal, a bad operator text or a line not UTF-8
+            return done, lines
+        done += len(lines)
+        del lines  # hold one block at a time
+    return done, []
 
 
 def _bounding_window(xy: np.ndarray, pad: float = 1.0) -> Window:

@@ -258,6 +258,38 @@ def test_site_file_that_is_not_utf8_is_data_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--bins", "4"],
+    ["press", "--target-density", "10"],
+], ids=["estimate", "press"])
+@pytest.mark.parametrize("header, site, row", [
+    ("site_id", "7" * 140_000, 3),
+    ("s" * 140_000, "1", 1),
+], ids=["row", "header"])
+def test_site_file_with_an_over_long_field_is_data_error(tmp_path, capsys, argv, header, site,
+                                                         row):
+    csv_path = tmp_path / "long.csv"
+    csv_path.write_text(f"# window_m,0.0,1000.0,0.0,1000.0\n{header},x_m,y_m,operators\n"
+                        f"0,100.0,100.0,1\n{site},150.0,200.0,1;2\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--deployment", str(csv_path), "--out", str(out)]) == 3
+    assert f"long.csv:{row}: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--blocks", "--params"])
+@pytest.mark.parametrize("content", [b'{"window_m": "\xff"}', b"[" * 100_000],
+                         ids=["not-utf8", "deep-nesting"])
+def test_json_file_that_does_not_decode_is_config_error(tmp_path, capsys, flag, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    argv = ["analyze", "--sinr", "0:10:10", *([] if flag == "--blocks" else ["--fid", "0"])]
+    out = tmp_path / "out"
+    assert main([*argv, flag, str(path), "--out", str(out)]) == 2
+    assert f"{path} is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("window, densities, message", [
     (["a", 1000, 0, 1000], {"1": 10.0}, "bad 'window_m'"),
     ([0, 1000, None, 1000], {"1": 10.0}, "bad 'window_m'"),

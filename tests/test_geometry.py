@@ -305,8 +305,27 @@ def test_csv_writer_blocks_match_a_row_by_row_reference(tmp_path):
 # The block reader against the row-by-row reader as it was before it
 
 
-def _oracle_read_rows(path, fh):
-    """``_read_rows`` as it was before the block reader: the row loop alone."""
+def _oracle_read_rows(path, _fh):
+    """The reader as it was before the block reader: a strict UTF-8 open, the row
+    loop alone, and a scan of the raw lines to name one that is not UTF-8."""
+    with path.open(newline="", encoding="utf-8") as fh:  # in place of the reader's open
+        try:
+            return _oracle_row_loop(path, fh)
+        except UnicodeDecodeError as exc:
+            with path.open("rb") as raw:
+                n = next(n for n, line in enumerate(raw, 1) if not _is_utf8(line))
+            raise DataError(f"{path}: line {n}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _is_utf8(line):
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _oracle_row_loop(path, fh):
     xy = array("d")
     occ = array("H")
     bits_of: dict[str, int] = {}
@@ -358,21 +377,27 @@ def _outcome(path):
     return dep.window, dep.xy.tobytes(), dep.occupants.tobytes()
 
 
+def _outcome_and_hand_off(path):
+    """The reader's outcome on ``path``, and whether a block handed it to the row loop."""
+    refused = []
+    read_blocks = geometry._read_blocks
+
+    def spy(fh, xy, occ):
+        done, lines = read_blocks(fh, xy, occ)
+        refused.append(bool(lines))
+        return done, lines
+
+    with mock.patch.object(geometry, "_read_blocks", spy):
+        return _outcome(path), any(refused)
+
+
 def _read_as_oracle(path):
     """Assert the reader matches the oracle on ``path``; True if the row loop ran."""
     with mock.patch.object(geometry, "_read_rows", _oracle_read_rows):
         want = _outcome(path)
-    refused = []
-    read_blocks = geometry._read_blocks
-
-    def spy(fh):
-        columns = read_blocks(fh)
-        refused.append(columns is None)
-        return columns
-
-    with mock.patch.object(geometry, "_read_blocks", spy):
-        assert _outcome(path) == want
-    return any(refused)
+    got, loop = _outcome_and_hand_off(path)
+    assert got == want
+    return loop
 
 
 def _good(i):
@@ -428,13 +453,15 @@ def test_block_reader_reads_as_the_row_loop(tmp_path, rows, loop):
 
 
 def test_block_reader_leaves_long_fields_and_late_bad_bytes_to_the_row_loop(tmp_path):
-    # a field over csv's size limit is the csv module's error, as before
+    # a field over csv's size limit is a data error that names its row
     limit = csv.field_size_limit()
     try:
         csv.field_size_limit(64)
-        assert _read_as_oracle(_site_file(tmp_path, _in_block(2, f"{'9' * 80},1.0,2.0,1\n")))
+        path = _site_file(tmp_path, _in_block(2, f"{'9' * 80},1.0,2.0,1\n"))
+        got, loop = _outcome_and_hand_off(path)
     finally:
         csv.field_size_limit(limit)
+    assert loop and got == (DataError, f"{path}:{2 * B + 7}: field larger than field limit (64)")
     # a bad row before bytes that are not UTF-8 in the same block is reported
     # as the row, although the block cannot be read whole
     rows = _in_block(0, "9,x,2.0,1\n")
@@ -447,6 +474,14 @@ def test_block_reader_leaves_long_fields_and_late_bad_bytes_to_the_row_loop(tmp_
     path.write_bytes(path.read_bytes() + b"9,1.0,2.0,\xff1\n")
     assert _read_as_oracle(path)
     assert _outcome(path)[1].endswith(f"line {3 * B + 3}: not UTF-8 text (invalid start byte)")
+
+
+def test_bytes_that_are_not_utf8_in_a_site_id_hand_the_block_to_the_row_loop(tmp_path):
+    # loadtxt keeps one character of a site_id, so only the UTF-8 check refuses it
+    path = _site_file(tmp_path, _in_block(1, "@,1.0,2.0,1\n"))
+    path.write_bytes(path.read_bytes().replace(b"@", b"\xe2\x82"))
+    assert _read_as_oracle(path)
+    assert _outcome(path)[1].endswith(f"line {B + 8}: not UTF-8 text (invalid continuation byte)")
 
 
 _ROW_KINDS = st.one_of(
@@ -485,28 +520,53 @@ def test_block_reader_runs_no_row_loop_on_a_written_file(tmp_path):
     assert np.array_equal(back.xy, dep.xy) and np.array_equal(back.occupants, dep.occupants)
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("rows", [_GOOD[:B + 5], _in_block(1, "9,1.0,2.0,1;x\n")],
-                         ids=["good", "bad-operator"])
-def test_a_pipe_reads_as_its_file(tmp_path, rows):
-    # a pipe cannot rewind to its first row, so the row loop reads it
-    path = _site_file(tmp_path, rows)
+def _read_through_a_pipe(tmp_path, path):
+    """``_outcome_and_hand_off`` of ``path`` fed through a named pipe.
+
+    The writer and the reader run in daemon threads joined with a timeout,
+    so a reader that blocks fails the test instead of hanging the suite.
+    """
     pipe = tmp_path / "pipe.csv"
     os.mkfifo(pipe)
+    got = []
 
     def feed():
         with contextlib.suppress(BrokenPipeError):  # the reader may stop at a bad row
             pipe.write_bytes(path.read_bytes())
 
-    writer = threading.Thread(target=feed)
-    writer.start()
-    try:
-        got = _outcome(pipe)
-    finally:
-        writer.join(timeout=30)
-    assert not writer.is_alive()
-    assert got == tuple(v.replace("sites.csv", "pipe.csv") if isinstance(v, str) else v
-                        for v in _outcome(path))
+    threads = [threading.Thread(target=feed, daemon=True),
+               threading.Thread(target=lambda: got.append(_outcome_and_hand_off(pipe)),
+                                daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert got and not any(thread.is_alive() for thread in threads)
+    return got[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("rows, loop", [
+    (_GOOD[:B + 5], False),
+    (_in_block(0, '9,1.0,2.0,"1\n', 'a",3.0,4.0,2\n', at=B - 1), True),
+    (_in_block(1, "   \n"), True),
+    (_in_block(1, "9,1.0,2.0,1;x\n"), True),
+], ids=["good", "newline-at-block-end", "spaces-row", "bad-operator"])
+def test_a_pipe_reads_as_its_file(tmp_path, rows, loop):
+    path = _site_file(tmp_path, rows)
+    got = _read_through_a_pipe(tmp_path, path)
+    want = tuple(v.replace("sites.csv", "pipe.csv") if isinstance(v, str) else v
+                 for v in _outcome(path))
+    assert got == (want, loop)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_with_bytes_that_are_not_utf8_names_the_line(tmp_path):
+    path = _site_file(tmp_path, ["0,1.0,2.0,1\n", "1,3.0,4.0,@1\n", "2,5.0,6.0,2\n"])
+    path.write_bytes(path.read_bytes().replace(b"@", b"\xff"))
+    (error, message), loop = _read_through_a_pipe(tmp_path, path)
+    assert loop and error is DataError
+    assert message == f"{tmp_path / 'pipe.csv'}: line 4: not UTF-8 text (invalid start byte)"
 
 
 def _traced_peak(path):
