@@ -17,18 +17,19 @@ Both integration levels use one adaptive 21-point Gauss-Kronrod routine
 the new panels of all components are evaluated together, a bounded number
 per call.  The outer level integrates over the serving distance r, on a
 map that is logarithmic above 1e-4 * r_max, with one component per
-threshold.  Its integrand hands every r node of every pending panel, both
-serving link types and every segment to one inner call, whose components
-are the segments' exponent integrals.  Since each component is refined on
-its own errors, a threshold's value does not depend on which thresholds
-share its batch or worker process.
+threshold; each starts from one panel per decade of r above that knee,
+and each inner component from one panel.  The outer integrand hands
+every r node of every pending panel, both serving link types and every
+segment to one inner call, whose components are the segments' exponent
+integrals.  Since each component is refined on its own errors, a
+threshold's value does not depend on which thresholds share its batch or
+worker process.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -346,26 +347,28 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray):
 
 
 def adaptive_gk21(f, a: float, b: float, n: int, *, epsabs: float = 1e-9,
-                  epsrel: float = 1e-7, max_panels: int = 256) -> np.ndarray:
+                  epsrel: float = 1e-7, max_panels: int = 256,
+                  start_panels: int = 1) -> np.ndarray:
     """Adaptive Gauss-Kronrod integration of n integrands over [a, b].
 
     ``f(x, k)`` maps an (m, 21) array of abscissae, whose row j belongs
     to component k[j], to the (m, 21) integrand values.  Every component
-    keeps its own panels and is refined until err_i <= max(epsabs,
-    epsrel*|I_i|): each round bisects the worst panel of every unconverged
-    component, and the new panels of all components go to ``f`` together,
-    at most _PANELS_PER_CALL per call.  So a component's integral does
-    not depend on the components it is batched with.  Raises
-    NumericalError naming the components that reach ``max_panels``
-    panels unconverged.
+    starts from ``start_panels`` equal panels of [a, b] and is refined
+    until err_i <= max(epsabs, epsrel*|I_i|): each round bisects the worst
+    panel of every unconverged component, and the new panels of all
+    components go to ``f`` together, at most _PANELS_PER_CALL per call.
+    So a component's integral does not depend on the components it is
+    batched with.  Raises NumericalError naming the components that reach
+    ``max_panels`` panels unconverged.
     """
-    comp = np.arange(n)
-    lo = np.full(n, float(a))
-    hi = np.full(n, float(b))
+    # panel j of a component is the j-th of start_panels equal parts; the last ends at b
+    comp, j = np.divmod(np.arange(n * start_panels), start_panels)
+    lo = a + (b - a) * (j / start_panels)
+    hi = np.where(j == start_panels - 1, b, a + (b - a) * ((j + 1) / start_panels))
     val, err = _gk21(f, lo, hi, comp)
     out = np.empty(n)
-    pending = comp
-    panels = 1  # panels of every pending component
+    pending = np.arange(n)
+    panels = start_panels  # panels of every pending component
     while True:
         # bincount adds in panel order, so each component's sums are its own;
         # the panel arrays hold only the live panels of pending components
@@ -699,8 +702,14 @@ def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
             vals *= lam_home
         return ((vals[:n] + vals[n:]) * q * y_span * stretch).reshape(v.shape)
 
+    # One starting panel per decade of r that the map spans above its knee
+    # (4 for a knee of 1e-4): a single panel over all decades takes about 4
+    # serial rounds to converge, each a full inner adaptive pass; a panel
+    # per decade mostly converges in the first round, and 2, 3, 5, 8 or 16
+    # starting panels measured slower.
+    decades = round(-math.log10(_OUTER_KNEE))
     vals = adaptive_gk21(integrand, 0.0, 1.0, thresholds_lin.size, epsabs=1e-7, epsrel=1e-6,
-                         max_panels=200)
+                         max_panels=200, start_panels=decades)
     return np.clip(vals, 0.0, 1.0)
 
 
@@ -728,6 +737,7 @@ def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
     chunks = np.array_split(thresholds_lin, pool_size(workers, thresholds_lin.size // 4))
     if len(chunks) == 1:
         return run(thresholds_lin)
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return np.concatenate(list(pool.map(run, chunks)))
 

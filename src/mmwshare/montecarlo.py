@@ -20,7 +20,6 @@ count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -506,6 +505,7 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
     run = partial(_run_batches, field, params, plan, root, batch)
     n_workers = pool_size(plan.workers, n_batches)
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
         bounds = np.linspace(0, n_batches, n_workers + 1).astype(int).tolist()
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(run, zip(bounds[:-1], bounds[1:])))

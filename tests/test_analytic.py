@@ -1,5 +1,6 @@
 """Analytic engine: measures, quadrature, Laplace transforms, curves."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -351,9 +352,30 @@ def test_polynomial_is_one_minus_kernel_power_to_machine_precision():
         assert np.allclose(analytic._times_poly(y, np.ones(k)), want, rtol=1e-14, atol=0.0)
 
 
+def _count_outer_panels(monkeypatch):
+    """The component array of every outer _gk21 call, in call order; the
+    outer integral is the first adaptive_gk21 call of a coverage run."""
+    outer, integrands = [], []
+    quad, gk21 = analytic.adaptive_gk21, analytic._gk21
+
+    def counted_quad(f, a, b, n, **kw):
+        integrands.append(f)
+        return quad(f, a, b, n, **kw)
+
+    def counted_gk21(f, lo, hi, comp):
+        if f is integrands[0]:
+            outer.append(comp)
+        return gk21(f, lo, hi, comp)
+
+    monkeypatch.setattr(analytic, "adaptive_gk21", counted_quad)
+    monkeypatch.setattr(analytic, "_gk21", counted_gk21)
+    return outer
+
+
 def test_coverage_integrates_four_segments_per_serving_node(monkeypatch):
     # one polynomial per (home or other classes) x (LOS, NLOS), not one segment per class
     components, nodes = [], []
+    outer = _count_outer_panels(monkeypatch)
     quad, segments = analytic.adaptive_gk21, analytic._segments_general
 
     def counted_quad(f, a, b, n, **kw):
@@ -366,9 +388,37 @@ def test_coverage_integrates_four_segments_per_serving_node(monkeypatch):
 
     monkeypatch.setattr(analytic, "adaptive_gk21", counted_quad)
     monkeypatch.setattr(analytic, "_segments_general", counted_segments)
-    analytic._coverage_linear(_three_op_model(), P, 10.0 ** (np.array([0.0, 8.8, 20.0]) / 10.0))
+    # -20 dB still bisects after the first round, so later rounds are checked too
+    analytic._coverage_linear(_three_op_model(), P,
+                              10.0 ** (np.array([-20.0, 8.8, 20.0]) / 10.0))
     assert components[0] == 3  # the outer integral, one component per threshold
-    assert len(nodes) > 1 and components[1:] == [4 * m for m in nodes]
+    # it starts with one panel per decade of r above the map's knee
+    assert np.array_equal(outer[0], np.repeat(np.arange(3), 4)) and len(outer) > 1
+    assert components[1:] == [4 * m for m in nodes]
+
+
+def test_one_three_operator_threshold_takes_one_outer_round(monkeypatch):
+    # one panel per decade of r converges at once near the median's SINR
+    outer = _count_outer_panels(monkeypatch)
+    analytic._coverage_linear(_three_op_model(), P, np.array([8.8]))
+    assert len(outer) == 1
+
+
+def test_coverage_matches_a_tight_solve():
+    # both integration levels to epsabs 1e-11: what is left is the outer
+    # quadrature's own error, against its 1e-7 target
+    quad = analytic.adaptive_gk21
+
+    def tight(f, a, b, n, **kw):
+        return quad(f, a, b, n, **{**kw, "epsabs": 1e-11, "epsrel": 1e-9, "max_panels": 2000})
+
+    thresholds = 10.0 ** (np.array([-10.0, 0.0, 10.0, 30.0]) / 10.0)
+    for scenario in (mw.fid_scenario(30.0 / KM2, 0.4), _three_op_model()):
+        got = analytic._coverage_linear(scenario, P, thresholds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analytic, "adaptive_gk21", tight)
+            want = analytic._coverage_linear(scenario, P, thresholds)
+        assert np.max(np.abs(got - want)) <= 1e-8
 
 
 def test_laplace_general_validation():
@@ -525,13 +575,13 @@ def _three_op_model():
 
 def test_sinr_coverage_does_not_depend_on_workers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    pools, executor = [], analytic.ProcessPoolExecutor
+    pools, executor = [], concurrent.futures.ProcessPoolExecutor
 
     def counted(*args, **kwargs):
         pools.append(kwargs["max_workers"])
         return executor(*args, **kwargs)
 
-    monkeypatch.setattr(analytic, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
     grid = np.linspace(-10.0, 30.0, 12)
     for scenario in (mw.fid_scenario(30.0 / KM2, 0.4), _three_op_model()):
         one, two, three = (mw.sinr_coverage(scenario, P, grid, workers=w).probabilities
@@ -546,7 +596,7 @@ def test_few_thresholds_start_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("2 thresholds must not start a process pool")
 
-    monkeypatch.setattr(analytic, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     mw.sinr_coverage(mw.fid_scenario(30.0 / KM2, 0.4), P, [0.0, 10.0], workers=2)
 
 

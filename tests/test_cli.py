@@ -538,6 +538,8 @@ def test_no_command_loads_scipy(tmp_path):
         ]
         for i, argv in enumerate(runs):
             assert main(argv + ["--out", out + f"/o{{i}}"]) == 0, argv
+        # one worker starts no pool, so the pool machinery stays unloaded
+        assert "concurrent.futures.process" not in sys.modules
         print(sorted(m for m in sys.modules if m.startswith("scipy")))
     """)
     env = dict(os.environ)

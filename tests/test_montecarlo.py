@@ -1,5 +1,6 @@
 """Simulation driver: determinism, curve construction, failure modes."""
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -262,8 +263,7 @@ def test_huge_thread_counts_start_no_more_processes_than_cpus(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-CPU run must not start a process pool")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(mw.analytic, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     res = mw.run_simulation(SPEC, P, SimPlan(replications=50, seed=1, thresholds_db=[0.0],
                                              workers=5000))
     assert res.report.workers == 5000
