@@ -575,7 +575,6 @@ class CoverageCurve:
 
     thresholds: np.ndarray
     probabilities: np.ndarray
-    kind: str
     unit: str
     ci_halfwidth: np.ndarray | None = None
 
@@ -588,8 +587,6 @@ class CoverageCurve:
             raise DataError("curve must contain at least one point")
         if np.any(np.diff(thr) <= 0):
             raise DataError("thresholds must be strictly increasing")
-        if self.kind not in ("analytic", "empirical"):
-            raise DataError(f"unknown curve kind {self.kind!r}")
         if self.unit not in ("db", "bps"):
             raise DataError(f"unknown threshold unit {self.unit!r}")
         if np.any(prob < -1e-9) or np.any(prob > 1.0 + 1e-9):
@@ -599,14 +596,17 @@ class CoverageCurve:
         prob = np.clip(prob, 0.0, 1.0)
         ci = self.ci_halfwidth
         if ci is not None:
-            if self.kind != "empirical":
-                raise DataError("confidence intervals only apply to empirical curves")
             ci = np.asarray(ci, dtype=float).reshape(-1)
             if ci.shape != thr.shape or np.any(ci < 0):
                 raise DataError("ci_halfwidth must be non-negative and match the grid")
         object.__setattr__(self, "thresholds", thr)
         object.__setattr__(self, "probabilities", prob)
         object.__setattr__(self, "ci_halfwidth", ci)
+
+    @property
+    def kind(self) -> str:
+        """"empirical" when the curve carries confidence intervals, else "analytic"."""
+        return "analytic" if self.ci_halfwidth is None else "empirical"
 
     def __len__(self) -> int:
         return int(self.thresholds.size)
@@ -648,9 +648,8 @@ class CoverageCurve:
             raise DataError(f"{path}: bad numeric value: {exc}") from exc
         if data.ndim != 2 or data.shape[1] != len(header):
             raise DataError(f"{path}: ragged curve rows")
-        kind = "empirical" if with_ci else "analytic"
         ci = data[:, 2] if with_ci else None
-        return cls(data[:, 0], data[:, 1], kind=kind, unit=unit, ci_halfwidth=ci)
+        return cls(data[:, 0], data[:, 1], unit=unit, ci_halfwidth=ci)
 
 
 # ---------------------------------------------------------------------------
@@ -690,15 +689,15 @@ def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
         # the sub-block densities multiply in below, with the co-location factor
         vals = _association_density(1.0, lam_home, params, r, los, params.sigma2 * s)
         vals[vals < 1e-300] = 0.0
-        if include_interference:
-            live = np.flatnonzero(vals)
+        live = np.flatnonzero(vals)
+        if include_interference and live.size:
             r, s, los = r[live], s[live], los[live]
             segs = _segments_general(classes, params, r, los)
             expo = _exponent_each(segs, params, s[:, None, None])
             u_r = interference_kernel(params, s, r, los)
             vals[live] = (vals[live] * np.exp(-expo.reshape(live.size, -1).sum(axis=1))
                           * np.sum(lam[home] * u_r[:, None] ** (occupants[home] - 1), axis=1))
-        else:
+        else:  # noise only, or no live node: thresholds the noise alone makes unreachable
             vals *= lam_home
         return ((vals[:n] + vals[n:]) * q * y_span * stretch).reshape(v.shape)
 
@@ -753,7 +752,7 @@ def _coverage_curve(scenario, params: SystemParams, values, unit: str, home_oper
                              include_interference=include_interference, workers=workers)
     # independent quadratures can wiggle below resolution; tidy for the curve
     probs = np.minimum.accumulate(np.round(probs, 12))
-    return CoverageCurve(grid, probs, kind="analytic", unit=unit)
+    return CoverageCurve(grid, probs, unit=unit)
 
 
 def sinr_coverage(scenario, params: SystemParams, thresholds_db, home_operator: int = 1, *,

@@ -149,7 +149,7 @@ def _sharing_spec(mode: str, rho: float, lambda0_km2: float) -> tuple[TwoOpSpec,
 
 
 def _resolve_scenario(args):
-    """Returns (scenario, description). Exactly one scenario source allowed."""
+    """Returns (scenario, description) of the one source; --window-km squares its window."""
     sharing = _sharing(args)
     deployment_path = getattr(args, "deployment", None)
     sources = sum([args.blocks is not None, deployment_path is not None, sharing is not None])
@@ -161,17 +161,20 @@ def _resolve_scenario(args):
         raise ConfigError("--blocks, --fid/--fcd and --deployment are mutually exclusive")
     if sharing is None:
         _reject_unread(args, "--blocks or --deployment", "lambda0")
-    if args.blocks is not None:
-        model = load_blocks_file(args.blocks)
-        half = _half_width_m(args)
-        if half is not None:
-            model = BlockModel(Window.square(half), model.densities)
-        return model, model.to_text()
     if deployment_path is not None:
+        _reject_unread(args, "a fixed deployment", "window-km")
         dep = geometry.read_deployment_csv(deployment_path)
         return dep, f"deployment({deployment_path}, n_sites={dep.n_sites})"
-    spec, text = _sharing_spec(*sharing, _lambda0_km2(args))
-    return spec, f"{sharing[0]}({text})"
+    if args.blocks is not None:
+        model = load_blocks_file(args.blocks)
+        desc = model.to_text()
+    else:
+        model, text = _sharing_spec(*sharing, _lambda0_km2(args))
+        desc = f"{sharing[0]}({text})"
+    half = _half_width_m(args)
+    if half is not None:
+        model = BlockModel(Window.square(half), dict(model.blocks()))
+    return model, desc
 
 
 def _operator_density(scenario, operator: int = 1) -> float:
@@ -225,22 +228,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _load_params(args)
-    scenario, desc = _resolve_scenario(args)
-    half = _half_width_m(args)
-    if isinstance(scenario, geometry.Deployment) and half is not None:
-        raise ConfigError("--window-km does not apply to a fixed deployment")
+    scenario, _ = _resolve_scenario(args)
     grid = parse_grid(args.sinr or DEFAULT_SINR_GRID, "sinr")
     rates = parse_grid(args.rates, "rates") * 1e6 if args.rates else None
-    plan = montecarlo.SimPlan(
-        replications=args.reps,
-        seed=args.seed,
-        thresholds_db=grid,
-        half_width_m=half,
-        workers=args.threads,
-    )
+    plan = montecarlo.SimPlan(replications=args.reps, seed=args.seed, workers=args.threads)
     result = montecarlo.run_simulation(scenario, params, plan)
     out = _out_dir(args)  # after the run, so that a rejected window leaves no --out
-    result.curve.to_csv(out / "sinr_empirical.csv")
+    montecarlo.sinr_curve_from_samples(result.sinr, grid).to_csv(out / "sinr_empirical.csv")
     print(f"wrote {out / 'sinr_empirical.csv'}")
     if rates is not None:
         lam_op = _operator_density(scenario, plan.home_operator)
@@ -404,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=20000, help="Monte Carlo replications")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--window-km", type=float, metavar="W",
-                   help="override the simulation window side length (km)")
+                   help="square window side length (km) of --blocks, --fid or --fcd")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="densities and overlap from site data")

@@ -452,8 +452,10 @@ def rate_sinr_threshold(rate_bps, params: SystemParams, lambda_op: float):
         raise ConfigError(f"rate must be >= 0, got {rate.min()}")
     n_u = load_factor(params, lambda_op)
     # float_power takes libm's pow, as Python floats do, so an array's
-    # elements equal the scalar calls (an array ** may round differently)
-    val = np.float_power(2.0, rate * n_u / params.bandwidth_hz) - 1.0
+    # elements equal the scalar calls (an array ** may round differently);
+    # a rate past the float range needs an infinite SINR, which is exact
+    with np.errstate(over="ignore"):
+        val = np.float_power(2.0, rate * n_u / params.bandwidth_hz) - 1.0
     return val if val.ndim else float(val)
 
 

@@ -15,6 +15,10 @@ size depends on the scenario alone, and batch k draws from its own
 stream, the k-th child of the seed's SeedSequence.  Samples are
 therefore reproducible bit-for-bit for a given seed regardless of worker
 count.
+
+The scenario fixes the window: a BlockModel is drawn on its own window,
+a TwoOpSpec on the square of its home operator's truncation radius.
+Curves are built from the samples by the *_curve_from_samples functions.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -46,8 +49,6 @@ from .geometry import Deployment, _as_seed_sequence, _guard_point_budget
 
 _Z95 = 1.959963984540054
 
-DEFAULT_THRESHOLDS_DB = np.arange(-10.0, 30.0 + 0.5, 1.0)
-
 #: Replications beyond this would hold more samples than memory allows.
 MAX_REPLICATIONS = 10**8
 
@@ -59,26 +60,23 @@ _SITES_PER_BATCH = 2**14
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Knobs of a simulation run.
+    """Settings of a simulation run; the scenario says what is simulated, and where.
 
     seed may be an int >= 0 or a tuple of them (tuples let callers derive
     independent streams for related runs).  Replications run in fixed
     batches, each drawing from its own child stream of the seed, so the
     samples depend on the seed and the scenario but not on workers.
-    replications is capped at MAX_REPLICATIONS.  half_width_m defaults to the
-    analytic truncation radius of the home operator; smaller values are
-    rejected unless enforce_radius is cleared, since they would bias the
+    replications is capped at MAX_REPLICATIONS.  A window whose half-width
+    is below the analytic truncation radius of the home operator is
+    rejected unless enforce_radius is cleared, since it would bias the
     tail of the serving-distance distribution.
     """
 
     replications: int = 20000
     seed: int | tuple = 0
-    thresholds_db: Sequence[float] | None = None
-    half_width_m: float | None = None
     home_operator: int = 1
     include_interference: bool = True
     workers: int = 1
-    max_attempts: int = 1000
     enforce_radius: bool = True
 
     def __post_init__(self):
@@ -89,10 +87,6 @@ class SimPlan:
         check_seed(self.seed)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if self.half_width_m is not None and not 0 < self.half_width_m < math.inf:
-            raise ConfigError(f"half_width_m must be positive and finite, got {self.half_width_m}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +127,6 @@ class RunReport:
 @dataclass(frozen=True, eq=False)
 class SimResult:
     sinr: np.ndarray
-    curve: CoverageCurve
     report: RunReport
 
 
@@ -142,6 +135,9 @@ class SimResult:
 
 #: The far field omits at most this mean NLOS interference, in noise powers.
 NLOS_OMISSION_BOUND = 1e-5
+
+#: Near-site draws a replication gets to hold a home-operator site.
+MAX_DRAWS = 1000
 
 
 def _nlos_mean_power(params: SystemParams) -> float:
@@ -220,13 +216,12 @@ class _PoissonField:
     radius: float
     beta: float
     home_blocks: np.ndarray
-    max_attempts: int
 
     @classmethod
-    def build(cls, model: BlockModel, params: SystemParams, plan: "SimPlan") -> "_PoissonField":
+    def build(cls, model: BlockModel, params: SystemParams, home_operator: int) -> "_PoissonField":
         w = model.window
         ux, uy = w.center()
-        radius = _near_radius(model, params, plan.home_operator)
+        radius = _near_radius(model, params, home_operator)
         beta = params.beta_per_m
         bits = np.array([sub.bits for sub, _ in model.blocks()], dtype=np.uint16)
         lam = np.array([lam for _, lam in model.blocks()])
@@ -244,8 +239,7 @@ class _PoissonField:
             win_hi=np.array([[w.x_max - ux], [w.y_max - uy]]),
             radius=radius,
             beta=beta,
-            home_blocks=(bits & (1 << (plan.home_operator - 1))) != 0,
-            max_attempts=plan.max_attempts,
+            home_blocks=(bits & (1 << (home_operator - 1))) != 0,
         )
 
     def sites(self) -> float:
@@ -267,7 +261,7 @@ class _PoissonField:
         counts = rng.poisson(self.near_means, (n, nb))
         empty = np.flatnonzero(counts[:, self.home_blocks].sum(axis=1) == 0)
         redraws = 0
-        for _ in range(self.max_attempts - 1):
+        for _ in range(MAX_DRAWS - 1):
             if not empty.size:
                 break
             redraws += empty.size
@@ -275,7 +269,7 @@ class _PoissonField:
             empty = empty[counts[empty][:, self.home_blocks].sum(axis=1) == 0]
         if empty.size:
             raise NumericalError(
-                f"no home-operator site after {self.max_attempts} redraws; "
+                f"no home-operator site after {MAX_DRAWS} redraws; "
                 "the home density is too small for this window"
             )
         occ = np.repeat(np.tile(self.bits, n), counts.ravel())
@@ -419,8 +413,7 @@ def _empirical_curve(samples: np.ndarray, grid: np.ndarray, thresholds_lin,
     """The share of samples above each linear threshold, with Wilson half-widths."""
     n = samples.size
     k = n - np.searchsorted(np.sort(samples), thresholds_lin, side="right")
-    return CoverageCurve(grid, k / n, kind="empirical", unit=unit,
-                         ci_halfwidth=wilson_halfwidth(k, n))
+    return CoverageCurve(grid, k / n, unit=unit, ci_halfwidth=wilson_halfwidth(k, n))
 
 
 def sinr_curve_from_samples(samples: np.ndarray, thresholds_db) -> CoverageCurve:
@@ -445,26 +438,17 @@ def median_rate_from_samples(samples: np.ndarray, params: SystemParams,
 # Scenario resolution and the top-level driver
 
 def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
-    """Returns (BlockModel or Deployment, description)."""
+    """Returns (the scenario's field, its window, its description)."""
     if isinstance(scenario, Deployment):
-        home_bit = 1 << (plan.home_operator - 1)
-        if not np.any(scenario.occupants & home_bit):
-            raise DataError(
-                f"deployment contains no operator-{plan.home_operator} site"
-            )
-        return scenario, f"deployment(n_sites={scenario.n_sites})"
+        if not np.any(scenario.occupants & (1 << (plan.home_operator - 1))):
+            raise DataError(f"deployment contains no operator-{plan.home_operator} site")
+        return (_DeploymentField.build(scenario, params, plan.home_operator), scenario.window,
+                f"deployment(n_sites={scenario.n_sites})")
     if isinstance(scenario, TwoOpSpec):
-        desc = (
-            f"two-op(lambda_total={scenario.lambda_total * 1e6:.6g}/km^2, "
-            f"retain_a={scenario.retain_a!r}, retain_b={scenario.retain_b!r})"
-        )
         lam_home = scenario.operator_density(plan.home_operator)  # raises unless 1 or 2
-        half = plan.half_width_m or truncation_radius(lam_home, params)
         # independent uniform marks split the mother PPP into independent blocks
-        scenario = scenario.to_block_model(Window.square(half))
-    elif isinstance(scenario, BlockModel):
-        desc = scenario.to_text()
-    else:
+        scenario = scenario.to_block_model(Window.square(truncation_radius(lam_home, params)))
+    elif not isinstance(scenario, BlockModel):
         raise ConfigError(
             f"scenario must be a BlockModel, TwoOpSpec or Deployment, "
             f"got {type(scenario).__name__}"
@@ -476,30 +460,20 @@ def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
     if plan.enforce_radius:
         r_max = truncation_radius(lam_home, params)
         cx, cy = window.center()
-        margin = min(
-            cx - window.x_min, window.x_max - cx, cy - window.y_min, window.y_max - cy
-        )
+        margin = min(cx - window.x_min, window.x_max - cx, cy - window.y_min, window.y_max - cy)
         if margin < r_max * (1.0 - 1e-9):
             raise ConfigError(
                 f"window half-width {margin:.1f} m is below the truncation "
                 f"radius {r_max:.1f} m; enlarge the window"
             )
     _guard_point_budget(scenario.total_density() * window.area())
-    return scenario, desc
+    return _PoissonField.build(scenario, params, plan.home_operator), window, scenario.to_text()
 
 
 def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
-    """Collect per-replication SINR samples and the empirical coverage curve."""
-    scenario, desc = _resolve_scenario(scenario, params, plan)
-    window = scenario.window
-    thresholds = (
-        DEFAULT_THRESHOLDS_DB if plan.thresholds_db is None else plan.thresholds_db
-    )
+    """Collect per-replication SINR samples and the run's provenance report."""
+    field, window, desc = _resolve_scenario(scenario, params, plan)
     root = _as_seed_sequence(plan.seed)
-    if isinstance(scenario, Deployment):
-        field = _DeploymentField.build(scenario, params, plan.home_operator)
-    else:
-        field = _PoissonField.build(scenario, params, plan)
     batch = max(1, int(_SITES_PER_BATCH // max(field.sites(), 1.0)))
     n_batches = -(-plan.replications // batch)
     run = partial(_run_batches, field, params, plan, root, batch)
@@ -514,7 +488,6 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
         sites = sum(p[2] for p in parts)
     else:
         samples, redraws, sites = run((0, n_batches))
-    curve = sinr_curve_from_samples(samples, thresholds)
     cx, cy = window.center()
     half = min(window.x_max - cx, window.y_max - cy)
     report = RunReport(
@@ -530,4 +503,4 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
         seed_text=repr(plan.seed),
         workers=plan.workers,
     )
-    return SimResult(sinr=samples, curve=curve, report=report)
+    return SimResult(sinr=samples, report=report)

@@ -45,16 +45,17 @@ def fid_runs():
     for i, rho in enumerate(RHOS):
         spec = mw.fid_scenario(LAM0, rho)
         curve = mw.sinr_coverage(spec, P, GRID_DB)
-        plan = mw.SimPlan(replications=20000, seed=(101, i), thresholds_db=GRID_DB)
-        runs[rho] = (curve, mw.run_simulation(spec, P, plan))
+        plan = mw.SimPlan(replications=20000, seed=(101, i))
+        samples = mw.run_simulation(spec, P, plan).sinr
+        runs[rho] = (curve, mw.sinr_curve_from_samples(samples, GRID_DB))
     return runs
 
 
 def test_analytic_matches_simulation(fid_runs):
     worst = 0.0
     for rho in RHOS:
-        curve, result = fid_runs[rho]
-        gap = np.abs(curve.probabilities - result.curve.probabilities)
+        curve, empirical = fid_runs[rho]
+        gap = np.abs(curve.probabilities - empirical.probabilities)
         worst = max(worst, float(gap.max()))
     ok = worst <= 0.02
     _report(1, ok, f"max |analytic - empirical| coverage = {worst:.4f} over "
@@ -63,9 +64,8 @@ def test_analytic_matches_simulation(fid_runs):
 
 
 def test_sharing_helps_low_thresholds_and_hurts_high(fid_runs):
-    an0, r0 = fid_runs[0.0]
-    an1, r1 = fid_runs[1.0]
-    emp0, emp1 = r0.curve, r1.curve
+    an0, emp0 = fid_runs[0.0]
+    an1, emp1 = fid_runs[1.0]
     # combined uncertainty of a difference of two independent estimates
     ci_lo = float(np.hypot(emp0.ci_halfwidth[IDX_LO], emp1.ci_halfwidth[IDX_LO]))
     ci_hi = float(np.hypot(emp0.ci_halfwidth[IDX_HI], emp1.ci_halfwidth[IDX_HI]))
@@ -349,10 +349,11 @@ def test_rho_ordering_survives_heavier_fading(fid_runs):
     p_nak = dataclasses.replace(P, fading=mw.NAKAGAMI_LOGNORMAL_DEFAULT)
     nak = {}
     for i, rho in enumerate((0.0, 1.0)):
-        plan = mw.SimPlan(replications=10000, seed=(301, 40 + i), thresholds_db=thresholds)
-        nak[rho] = mw.run_simulation(mw.fid_scenario(LAM0, rho), p_nak, plan).curve.probabilities
-    ray0 = fid_runs[0.0][1].curve.probabilities
-    ray1 = fid_runs[1.0][1].curve.probabilities
+        plan = mw.SimPlan(replications=10000, seed=(301, 40 + i))
+        samples = mw.run_simulation(mw.fid_scenario(LAM0, rho), p_nak, plan).sinr
+        nak[rho] = mw.sinr_curve_from_samples(samples, thresholds).probabilities
+    ray0 = fid_runs[0.0][1].probabilities
+    ray1 = fid_runs[1.0][1].probabilities
     ray_lo = float(ray1[IDX_LO] - ray0[IDX_LO])
     ray_hi = float(ray0[IDX_HI] - ray1[IDX_HI])
     nak_lo = float(nak[1.0][0] - nak[0.0][0])

@@ -496,6 +496,17 @@ def test_sinr_coverage_curve_shape():
     assert 0.0 < curve.probabilities[-1] < curve.probabilities[0] < 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_thresholds_the_noise_makes_unreachable_have_coverage_0():
+    # at 200 dB and 2e10 bps the noise factor zeroes every node of the outer
+    # integral, so no node is left for the interference transform; 1e11 bps
+    # needs an SINR past the float range, and infinity is the exact answer
+    spec = mw.fid_scenario(30.0 / KM2, 0.4)
+    assert mw.sinr_coverage(spec, P, [200.0]).probabilities.tolist() == [0.0]
+    assert mw.rate_sinr_threshold(1e11, P, spec.lambda_op1) == math.inf
+    assert mw.rate_coverage(spec, P, [2e10, 1e11]).probabilities.tolist() == [0.0, 0.0]
+
+
 def test_operator_two_coverage_by_symmetry():
     # swapping labels in an asymmetric coupling: op 2's curve equals the
     # curve of the mirrored spec for op 1
@@ -527,22 +538,22 @@ def test_rate_coverage_maps_rate_grid():
 
 def test_coverage_curve_validation():
     with pytest.raises(DataError):
-        mw.CoverageCurve(np.array([1.0, 1.0]), np.array([0.5, 0.4]), "analytic", "db")
+        mw.CoverageCurve(np.array([1.0, 1.0]), np.array([0.5, 0.4]), "db")
     with pytest.raises(DataError):
-        mw.CoverageCurve(np.array([1.0]), np.array([0.5, 0.4]), "analytic", "db")
+        mw.CoverageCurve(np.array([1.0]), np.array([0.5, 0.4]), "db")
     with pytest.raises(NumericalError):
-        mw.CoverageCurve(np.array([0.0, 1.0]), np.array([0.4, 0.6]), "analytic", "db")
+        mw.CoverageCurve(np.array([0.0, 1.0]), np.array([0.4, 0.6]), "db")
     with pytest.raises(DataError):
-        mw.CoverageCurve(np.array([0.0]), np.array([0.5]), "empirical", "parsec")
-    with pytest.raises(DataError):
-        # ci on an analytic curve makes no sense
-        mw.CoverageCurve(np.array([0.0]), np.array([0.5]), "analytic", "db",
-                         ci_halfwidth=np.array([0.01]))
+        mw.CoverageCurve(np.array([0.0]), np.array([0.5]), "parsec")
+    # the kind follows from the confidence intervals
+    assert mw.CoverageCurve(np.array([0.0]), np.array([0.5]), "db").kind == "analytic"
+    assert mw.CoverageCurve(np.array([0.0]), np.array([0.5]), "db",
+                            ci_halfwidth=np.array([0.01])).kind == "empirical"
 
 
 def test_coverage_curve_csv_round_trip(tmp_path):
     analytic = mw.CoverageCurve(np.array([-5.0, 0.0, 5.0]),
-                                np.array([0.9, 0.7, 0.5]), "analytic", "db")
+                                np.array([0.9, 0.7, 0.5]), "db")
     path = tmp_path / "a.csv"
     analytic.to_csv(path)
     back = mw.CoverageCurve.from_csv(path)
@@ -550,8 +561,8 @@ def test_coverage_curve_csv_round_trip(tmp_path):
     assert np.array_equal(back.thresholds, analytic.thresholds)
     assert np.array_equal(back.probabilities, analytic.probabilities)
 
-    empirical = mw.CoverageCurve(np.array([25e6, 50e6]), np.array([0.8, 0.6]),
-                                 "empirical", "bps", ci_halfwidth=np.array([0.01, 0.02]))
+    empirical = mw.CoverageCurve(np.array([25e6, 50e6]), np.array([0.8, 0.6]), "bps",
+                                 ci_halfwidth=np.array([0.01, 0.02]))
     path2 = tmp_path / "e.csv"
     empirical.to_csv(path2)
     back2 = mw.CoverageCurve.from_csv(path2)

@@ -128,6 +128,43 @@ def test_simulate_on_deployment_csv(tmp_path):
                  "--out", str(out)]) == 2
 
 
+def test_window_override_of_a_deployment_exits_2_before_reading_it(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--deployment", str(tmp_path / "missing.csv"), "--window-km", "4",
+                 "--out", str(out)]) == 2
+    assert "--window-km does not apply to a fixed deployment" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fid_and_its_blocks_on_one_window_write_the_same_files(tmp_path):
+    # FID rho=0 at 30/km^2 is the blocks {1: 30, 2: 30}/km^2 bit for bit, so
+    # on one --window-km both runs draw the same stream and describe it alike
+    blocks = tmp_path / "b.json"
+    blocks.write_text(json.dumps({"window_m": [-3300.0, 3300.0, -3300.0, 3300.0],
+                                  "densities_per_km2": {"1": 30.0, "2": 30.0}}))
+    runs = {"fid": ["--fid", "0", "--lambda0", "30"], "blocks": ["--blocks", str(blocks)]}
+    for name, source in runs.items():
+        assert main(["simulate", *source, "--window-km", "8", "--reps", "300", "--seed", "3",
+                     "--sinr", "-10:10:30", "--out", str(tmp_path / name)]) == 0
+    for name in ("sinr_empirical.csv", "run_report.txt"):
+        assert (tmp_path / "fid" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
+    report = (tmp_path / "fid" / "run_report.txt").read_text()
+    assert report.startswith("scenario: blocks(1:30/km^2, 2:30/km^2)\n")
+    assert "half_width_m: 4000.0\n" in report
+
+
+@pytest.mark.filterwarnings("error")
+def test_unreachable_thresholds_give_coverage_0_without_a_warning(tmp_path, capsys):
+    # the noise alone puts 200 dB and 10 Gbps out of reach of every serving distance
+    out = tmp_path / "an"
+    assert main(["analyze", "--fid", "0.4", "--sinr", "0:100:200", "--rates", "1e4:1e4:2e4",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    sinr = mw.CoverageCurve.from_csv(out / "sinr_coverage.csv").probabilities
+    assert sinr[0] > 0.5 and sinr[2] == 0.0
+    assert mw.CoverageCurve.from_csv(out / "rate_coverage.csv").probabilities.tolist() == [0, 0]
+
+
 def test_simulate_oversized_window_is_config_error(tmp_path):
     # ~1e14 expected sites either way: rejected before any replication
     blocks = tmp_path / "huge.json"

@@ -23,11 +23,6 @@ def test_simplan_validation():
         SimPlan(replications=0)
     with pytest.raises(ConfigError):
         SimPlan(workers=0)
-    with pytest.raises(ConfigError):
-        SimPlan(max_attempts=0)
-    for half in (-5.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="half_width_m must be positive and finite"):
-            SimPlan(half_width_m=half)
 
 
 def test_wilson_halfwidth_matches_quadratic_roots():
@@ -74,38 +69,34 @@ def test_median_rate_from_samples_formula():
 
 
 def test_same_seed_reproduces_samples():
-    plan = SimPlan(replications=400, seed=10, thresholds_db=[0.0])
+    plan = SimPlan(replications=400, seed=10)
     r1 = mw.run_simulation(SPEC, P, plan)
     r2 = mw.run_simulation(SPEC, P, plan)
     assert np.array_equal(r1.sinr, r2.sinr)
-    r3 = mw.run_simulation(SPEC, P, SimPlan(replications=400, seed=11,
-                                            thresholds_db=[0.0]))
+    r3 = mw.run_simulation(SPEC, P, SimPlan(replications=400, seed=11))
     assert not np.array_equal(r1.sinr, r3.sinr)
 
 
 def test_tuple_seeds_give_distinct_streams():
-    p1 = SimPlan(replications=200, seed=(5, 0), thresholds_db=[0.0])
-    p2 = SimPlan(replications=200, seed=(5, 1), thresholds_db=[0.0])
+    p1 = SimPlan(replications=200, seed=(5, 0))
+    p2 = SimPlan(replications=200, seed=(5, 1))
     r1 = mw.run_simulation(SPEC, P, p1)
     r2 = mw.run_simulation(SPEC, P, p2)
     assert not np.array_equal(r1.sinr, r2.sinr)
 
 
 def test_worker_count_does_not_change_samples():
-    serial = mw.run_simulation(SPEC, P, SimPlan(replications=300, seed=21,
-                                                thresholds_db=[0.0], workers=1))
-    pooled = mw.run_simulation(SPEC, P, SimPlan(replications=300, seed=21,
-                                                thresholds_db=[0.0], workers=3))
+    serial = mw.run_simulation(SPEC, P, SimPlan(replications=300, seed=21, workers=1))
+    pooled = mw.run_simulation(SPEC, P, SimPlan(replications=300, seed=21, workers=3))
     assert np.array_equal(serial.sinr, pooled.sinr)
     assert pooled.report.workers == 3
 
 
 def test_interference_lowers_sinr():
-    base = SimPlan(replications=500, seed=33, thresholds_db=[0.0])
+    base = SimPlan(replications=500, seed=33)
     with_i = mw.run_simulation(SPEC, P, base)
     without = mw.run_simulation(
-        SPEC, P, SimPlan(replications=500, seed=33, thresholds_db=[0.0],
-                         include_interference=False),
+        SPEC, P, SimPlan(replications=500, seed=33, include_interference=False),
     )
     assert without.sinr.mean() > with_i.sinr.mean()
 
@@ -113,10 +104,10 @@ def test_interference_lowers_sinr():
 def test_simulation_on_fixed_deployment():
     win = mw.Window.square(3000.0)
     dep = mw.couple_two_operators(mw.fid_scenario(40.0 / KM2, 0.5), win, seed=4)
-    plan = SimPlan(replications=300, seed=1, thresholds_db=[-10.0, 0.0, 10.0])
+    plan = SimPlan(replications=300, seed=1)
     res = mw.run_simulation(dep, P, plan)
     assert res.sinr.shape == (300,)
-    assert res.curve.kind == "empirical"
+    assert mw.sinr_curve_from_samples(res.sinr, [-10.0, 0.0, 10.0]).kind == "empirical"
     assert res.report.scenario.startswith("deployment(")
 
 
@@ -139,7 +130,7 @@ def test_oversized_window_hits_the_point_budget_before_sampling():
     with pytest.raises(ConfigError, match="sampling budget"):
         mw.run_simulation(model, P, SimPlan(replications=10, workers=2))
     with pytest.raises(ConfigError, match="sampling budget"):
-        mw.run_simulation(SPEC, P, SimPlan(replications=10, half_width_m=1e9))
+        mw.run_simulation(SPEC.to_block_model(mw.Window.square(1e9)), P, SimPlan(replications=10))
 
 
 def test_window_below_truncation_radius_is_rejected():
@@ -147,21 +138,20 @@ def test_window_below_truncation_radius_is_rejected():
     with pytest.raises(ConfigError, match="truncation"):
         mw.run_simulation(model, P, SimPlan(replications=10))
     # the check is an accuracy guard, not a hard capability limit
-    res = mw.run_simulation(model, P, SimPlan(replications=10, seed=2,
-                                              enforce_radius=False, max_attempts=2000))
+    res = mw.run_simulation(model, P, SimPlan(replications=10, seed=2, enforce_radius=False))
     assert res.sinr.shape == (10,)
 
 
 def test_redraw_budget_exhaustion():
     # ~6e-7 expected sites per draw: no home site will ever appear
     model = mw.BlockModel(mw.Window.square(40.0), {mw.OperatorSet.of(1): 1e-10})
-    plan = SimPlan(replications=5, seed=0, max_attempts=5, enforce_radius=False)
+    plan = SimPlan(replications=5, seed=0, enforce_radius=False)
     with pytest.raises(NumericalError, match="redraws"):
         mw.run_simulation(model, P, plan)
 
 
 def test_run_report_round_trips_settings():
-    plan = SimPlan(replications=50, seed=(9, 9), thresholds_db=[0.0])
+    plan = SimPlan(replications=50, seed=(9, 9))
     res = mw.run_simulation(SPEC, P, plan)
     text = res.report.to_text()
     assert "replications: 50" in text
@@ -199,8 +189,7 @@ def many_cpus(monkeypatch):
 ], ids=["two-op", "three-op-nakagami", "deployment"])
 def test_samples_do_not_depend_on_workers(many_cpus, scenario, fading):
     params = dataclasses.replace(P, fading=fading)
-    runs = [mw.run_simulation(scenario, params, SimPlan(replications=250, seed=(8, 1),
-                                                        thresholds_db=[0.0], workers=w))
+    runs = [mw.run_simulation(scenario, params, SimPlan(replications=250, seed=(8, 1), workers=w))
             for w in (1, 2, 3)]
     assert pool_size(3, 250) == 3
     for res in runs[1:]:
@@ -210,8 +199,7 @@ def test_samples_do_not_depend_on_workers(many_cpus, scenario, fading):
 
 def test_frequent_redraws_are_deterministic(many_cpus):
     def run(workers):
-        plan = SimPlan(replications=400, seed=3, thresholds_db=[0.0], workers=workers,
-                       enforce_radius=False)
+        plan = SimPlan(replications=400, seed=3, workers=workers, enforce_radius=False)
         return mw.run_simulation(CROWDED, P, plan)
 
     first, again, pooled = run(1), run(1), run(2)
@@ -226,8 +214,7 @@ def test_batch_of_mostly_empty_draws_fills_every_sample():
     # ~0.12 expected home sites per draw, and all 300 replications in one batch
     sparse = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): 3.0 / KM2})
     assert montecarlo._SITES_PER_BATCH >= 300
-    res = mw.run_simulation(sparse, P, SimPlan(replications=300, seed=5, thresholds_db=[0.0],
-                                               enforce_radius=False, max_attempts=1000))
+    res = mw.run_simulation(sparse, P, SimPlan(replications=300, seed=5, enforce_radius=False))
     assert res.report.redraws > 5 * 300
     assert res.sinr.shape == (300,)
     assert np.all(np.isfinite(res.sinr)) and np.all(res.sinr > 0)
@@ -264,10 +251,9 @@ def test_huge_thread_counts_start_no_more_processes_than_cpus(monkeypatch):
         raise AssertionError("a one-CPU run must not start a process pool")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    res = mw.run_simulation(SPEC, P, SimPlan(replications=50, seed=1, thresholds_db=[0.0],
-                                             workers=5000))
+    res = mw.run_simulation(SPEC, P, SimPlan(replications=50, seed=1, workers=5000))
     assert res.report.workers == 5000
-    serial = mw.run_simulation(SPEC, P, SimPlan(replications=50, seed=1, thresholds_db=[0.0]))
+    serial = mw.run_simulation(SPEC, P, SimPlan(replications=50, seed=1))
     assert np.array_equal(res.sinr, serial.sinr)
     mw.sinr_coverage(SPEC, P, [0.0, 10.0], workers=5000)
 
@@ -275,14 +261,14 @@ def test_huge_thread_counts_start_no_more_processes_than_cpus(monkeypatch):
 # ---------------------------------------------------------------------------
 # Near disc plus LOS-only far field
 
-def _whole_window_draw(model, n, beta, home_operator, max_attempts, rng):
+def _whole_window_draw(model, n, beta, home_operator, max_draws, rng):
     """Every site of the window, LOS with probability exp(-beta*d): the reference draw."""
     bits = np.array([sub.bits for sub, _ in model.blocks()], dtype=np.uint16)
     means = np.array([lam for _, lam in model.blocks()]) * model.window.area()
     home = (bits & (1 << (home_operator - 1))) != 0
     counts = rng.poisson(means, (n, bits.size))
     empty, redraws = np.flatnonzero(counts[:, home].sum(axis=1) == 0), 0
-    for _ in range(max_attempts - 1):
+    for _ in range(max_draws - 1):
         if not empty.size:
             break
         redraws += empty.size
@@ -304,11 +290,11 @@ def test_disc_not_inside_the_window_is_the_whole_window_draw(density):
     # the ~620 m near disc does not fit inside a 100 m window: no far field,
     # and the counts, redraws, distances and labels are those of the whole window
     model = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): density / KM2})
-    plan = SimPlan(enforce_radius=False, max_attempts=1000)
-    field = montecarlo._PoissonField.build(model, P, plan)
+    field = montecarlo._PoissonField.build(model, P, 1)
     assert field.radius > 100.0 and field.far_means is None
     got = field.draw(300, np.random.default_rng(17))
-    want = _whole_window_draw(model, 300, P.beta_per_m, 1, 1000, np.random.default_rng(17))
+    want = _whole_window_draw(model, 300, P.beta_per_m, 1, montecarlo.MAX_DRAWS,
+                              np.random.default_rng(17))
     assert want[4] > 20
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -319,11 +305,12 @@ def test_far_field_larger_than_the_window_is_the_whole_window_draw():
     # disc would hold more candidates than the whole window, which is drawn instead
     params = dataclasses.replace(P, beta_per_m=1e-5)
     model = SPEC.to_block_model(mw.Window.square(mw.truncation_radius(SPEC.lambda_op1, P)))
-    field = montecarlo._PoissonField.build(model, params, SimPlan())
+    field = montecarlo._PoissonField.build(model, params, 1)
     assert field.radius < 1000.0 and field.far_means is None
     assert field.sites() == pytest.approx(model.total_density() * model.window.area())
     got = field.draw(20, np.random.default_rng(19))
-    want = _whole_window_draw(model, 20, params.beta_per_m, 1, 1000, np.random.default_rng(19))
+    want = _whole_window_draw(model, 20, params.beta_per_m, 1, montecarlo.MAX_DRAWS,
+                              np.random.default_rng(19))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -332,7 +319,7 @@ def test_omitted_nlos_interference_is_below_the_closed_form_bound():
     # full-window draws of the FID scenario: the NLOS occupants outside the
     # near disc carry, on average, less than the bound the radius was chosen for
     model = SPEC.to_block_model(mw.Window.square(mw.truncation_radius(SPEC.lambda_op1, P)))
-    field = montecarlo._PoissonField.build(model, P, SimPlan())
+    field = montecarlo._PoissonField.build(model, P, 1)
     assert field.far_means is not None
     rng = np.random.default_rng(23)
     # 16 chunks of 300 replications: the mean reads 0.962 of the bound, and
@@ -358,11 +345,9 @@ def test_far_field_does_not_depend_on_the_window_size():
     # far LOS candidates are drawn by distance: the same expected number at
     # the default window and at 20 km, where window-wide candidates grew with
     # the window (90 against 950 per replication)
-    plans = [SimPlan(), SimPlan(half_width_m=20000.0)]
-    fields = [montecarlo._PoissonField.build(
-        SPEC.to_block_model(mw.Window.square(plan.half_width_m
-                                             or mw.truncation_radius(SPEC.lambda_op1, P))),
-        P, plan) for plan in plans]
+    halves = [mw.truncation_radius(SPEC.lambda_op1, P), 20000.0]
+    fields = [montecarlo._PoissonField.build(SPEC.to_block_model(mw.Window.square(h)), P, 1)
+              for h in halves]
     assert fields[0].sites() == fields[1].sites()
     assert fields[0].far_means.sum() == pytest.approx(0.38, abs=0.02)
 
@@ -371,7 +356,7 @@ def test_far_sites_are_los_beyond_the_disc_and_follow_the_clipped_intensity():
     # a 700 m window holds the ~622 m disc and clips the far field beyond 700 m
     h = 700.0
     model = SPEC.to_block_model(mw.Window.square(h))
-    field = montecarlo._PoissonField.build(model, P, SimPlan(enforce_radius=False))
+    field = montecarlo._PoissonField.build(model, P, 1)
     assert field.far_means is not None and field.radius < h
     # the same stream without far sites: its segments are the near sites
     near_only = dataclasses.replace(field, far_means=np.zeros_like(field.far_means))
@@ -464,7 +449,7 @@ def test_deployment_thinning_keeps_far_sites_with_their_los_probability():
 
 
 def test_run_report_states_the_near_radius_and_sites_drawn():
-    res = mw.run_simulation(SPEC, P, SimPlan(replications=500, seed=4, thresholds_db=[0.0]))
+    res = mw.run_simulation(SPEC, P, SimPlan(replications=500, seed=4))
     text = res.report.to_text()
     assert 600.0 < res.report.near_radius_m < 650.0
     assert f"near_radius_m: {res.report.near_radius_m!r}" in text
