@@ -585,19 +585,21 @@ class CoverageCurve:
             raise DataError("thresholds and probabilities must have equal length")
         if thr.size == 0:
             raise DataError("curve must contain at least one point")
+        if not np.all(np.isfinite(thr)):
+            raise DataError("thresholds must be finite")
         if np.any(np.diff(thr) <= 0):
             raise DataError("thresholds must be strictly increasing")
         if self.unit not in ("db", "bps"):
             raise DataError(f"unknown threshold unit {self.unit!r}")
-        if np.any(prob < -1e-9) or np.any(prob > 1.0 + 1e-9):
-            raise NumericalError("coverage probabilities escaped [0, 1]")
+        if not np.all((prob >= -1e-9) & (prob <= 1.0 + 1e-9)):  # NaN fails both
+            raise NumericalError("coverage probabilities escaped [0, 1] or are NaN")
         if np.any(np.diff(prob) > 1e-6):
             raise NumericalError("coverage probabilities are not non-increasing")
         prob = np.clip(prob, 0.0, 1.0)
         ci = self.ci_halfwidth
         if ci is not None:
             ci = np.asarray(ci, dtype=float).reshape(-1)
-            if ci.shape != thr.shape or np.any(ci < 0):
+            if ci.shape != thr.shape or not np.all(ci >= 0):
                 raise DataError("ci_halfwidth must be non-negative and match the grid")
         object.__setattr__(self, "thresholds", thr)
         object.__setattr__(self, "probabilities", prob)
@@ -626,8 +628,8 @@ class CoverageCurve:
     def from_csv(cls, path: str | Path) -> "CoverageCurve":
         path = Path(path)
         try:
-            rows = list(csv.reader(path.read_text().splitlines()))
-        except OSError as exc:
+            rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read curve file {path}: {exc}") from exc
         rows = [r for r in rows if r]
         if not rows:
@@ -642,12 +644,12 @@ class CoverageCurve:
         with_ci = header == [header[0], "probability", "ci_halfwidth"]
         if not with_ci and header != [header[0], "probability"]:
             raise DataError(f"{path}: unknown curve header {rows[0]!r}")
+        if any(len(row) != len(header) for row in rows[1:]):
+            raise DataError(f"{path}: ragged curve rows")
         try:
-            data = np.array([[float(v) for v in row] for row in rows[1:]])
+            data = np.array([[float(v) for v in row] for row in rows[1:]]).reshape(-1, len(header))
         except ValueError as exc:
             raise DataError(f"{path}: bad numeric value: {exc}") from exc
-        if data.ndim != 2 or data.shape[1] != len(header):
-            raise DataError(f"{path}: ragged curve rows")
         ci = data[:, 2] if with_ci else None
         return cls(data[:, 0], data[:, 1], unit=unit, ci_halfwidth=ci)
 

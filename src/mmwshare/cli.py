@@ -21,7 +21,6 @@ from . import analytic, estimation, geometry, montecarlo
 from .core import (
     KM2,
     REFERENCE_PRESET,
-    BlockModel,
     ConfigError,
     DataError,
     NumericalError,
@@ -114,7 +113,7 @@ def _density_per_m2(km2: float, flag: str) -> float:
 
 def _half_width_m(args) -> float | None:
     """Half of --window-km in meters, checked in the km it was given in; None if not given."""
-    km = getattr(args, "window_km", None)
+    km = args.window_km
     if km is not None and not 0 < km < math.inf:
         raise ConfigError(f"--window-km must be a positive width in km, got {km:g}")
     return None if km is None else km * 1000.0 / 2.0
@@ -149,7 +148,7 @@ def _sharing_spec(mode: str, rho: float, lambda0_km2: float) -> tuple[TwoOpSpec,
 
 
 def _resolve_scenario(args):
-    """Returns (scenario, description) of the one source; --window-km squares its window."""
+    """Returns (scenario, description) of the one source."""
     sharing = _sharing(args)
     deployment_path = getattr(args, "deployment", None)
     sources = sum([args.blocks is not None, deployment_path is not None, sharing is not None])
@@ -162,19 +161,13 @@ def _resolve_scenario(args):
     if sharing is None:
         _reject_unread(args, "--blocks or --deployment", "lambda0")
     if deployment_path is not None:
-        _reject_unread(args, "a fixed deployment", "window-km")
         dep = geometry.read_deployment_csv(deployment_path)
         return dep, f"deployment({deployment_path}, n_sites={dep.n_sites})"
     if args.blocks is not None:
         model = load_blocks_file(args.blocks)
-        desc = model.to_text()
-    else:
-        model, text = _sharing_spec(*sharing, _lambda0_km2(args))
-        desc = f"{sharing[0]}({text})"
-    half = _half_width_m(args)
-    if half is not None:
-        model = BlockModel(Window.square(half), dict(model.blocks()))
-    return model, desc
+        return model, model.to_text()
+    model, text = _sharing_spec(*sharing, _lambda0_km2(args))
+    return model, f"{sharing[0]}({text})"
 
 
 def _operator_density(scenario, operator: int = 1) -> float:
@@ -202,8 +195,11 @@ def cmd_analyze(args) -> int:
     scenario, desc = _resolve_scenario(args)
     grid = parse_grid(args.sinr or DEFAULT_SINR_GRID, "sinr")
     rates = parse_grid(args.rates, "rates") * 1e6 if args.rates else None
-    out = _out_dir(args)
     curve = analytic.sinr_coverage(scenario, params, grid, workers=args.threads)
+    rcurve = None if rates is None else analytic.rate_coverage(scenario, params, rates,
+                                                               workers=args.threads)
+    med = analytic.median_rate(scenario, params) if args.median else None
+    out = _out_dir(args)  # once the results exist, so that a failed run leaves no --out
     curve.to_csv(out / "sinr_coverage.csv")
     print(f"wrote {out / 'sinr_coverage.csv'}")
     lines = [
@@ -211,13 +207,11 @@ def cmd_analyze(args) -> int:
         "engine: analytic",
         f"sinr_grid_db: {args.sinr or DEFAULT_SINR_GRID}",
     ]
-    if rates is not None:
-        rcurve = analytic.rate_coverage(scenario, params, rates, workers=args.threads)
+    if rcurve is not None:
         rcurve.to_csv(out / "rate_coverage.csv")
         print(f"wrote {out / 'rate_coverage.csv'}")
         lines.append(f"rate_grid_mbps: {args.rates}")
-    if args.median:
-        med = analytic.median_rate(scenario, params)
+    if med is not None:
         lines.append(f"median_rate_bps: {med!r}")
         print(f"median rate: {med / 1e6:.3f} Mbps")
     lines.append("parameters:")
@@ -233,7 +227,7 @@ def cmd_simulate(args) -> int:
     rates = parse_grid(args.rates, "rates") * 1e6 if args.rates else None
     plan = montecarlo.SimPlan(replications=args.reps, seed=args.seed, workers=args.threads)
     result = montecarlo.run_simulation(scenario, params, plan)
-    out = _out_dir(args)  # after the run, so that a rejected window leaves no --out
+    out = _out_dir(args)  # after the run, so that a refused scenario leaves no --out
     montecarlo.sinr_curve_from_samples(result.sinr, grid).to_csv(out / "sinr_empirical.csv")
     print(f"wrote {out / 'sinr_empirical.csv'}")
     if rates is not None:
@@ -319,7 +313,6 @@ def cmd_compare(args) -> int:
     runs.append((f"single_{params.bandwidth_hz / 1e6:g}mhz", single, params))
     plans = [montecarlo.SimPlan(replications=args.reps, seed=(args.seed, i), workers=args.threads)
              for i in range(len(runs))]
-    out = _out_dir(args)
 
     curves: dict[str, analytic.CoverageCurve] = {}
     medians: dict[str, float] = {}
@@ -330,6 +323,7 @@ def cmd_compare(args) -> int:
         curves[label] = montecarlo.rate_curve_from_samples(result.sinr, rates, run_params, lam_op)
         medians[label] = montecarlo.median_rate_from_samples(result.sinr, run_params, lam_op)
         reports.append(f"[{label}]\n{result.report.to_text()}")
+    out = _out_dir(args)  # once the results exist, so that a failed run leaves no --out
     labels = [label for label, _, _ in runs]
     header = ["rate_mbps"]
     for label in labels:
@@ -397,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", metavar="LO:STEP:HI", help="also compute rate coverage (grid in Mbps)")
     p.add_argument("--reps", type=int, default=20000, help="Monte Carlo replications")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--window-km", type=float, metavar="W",
-                   help="square window side length (km) of --blocks, --fid or --fcd")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="densities and overlap from site data")

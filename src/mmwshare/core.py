@@ -406,6 +406,9 @@ class TwoOpSpec:
     def to_block_model(self, window: Window) -> BlockModel:
         return BlockModel(window, dict(self.blocks()))
 
+    # blocks() is BlockModel.blocks() of the equivalent model, and so is the text
+    to_text = BlockModel.to_text
+
 
 def fid_scenario(lambda0: float, rho: float) -> TwoOpSpec:
     """Sharing by relocation: each operator keeps density lambda0 at any rho.

@@ -114,12 +114,13 @@ def _uniform_in_window(rng: np.random.Generator, window: Window, n: int) -> np.n
 _MAX_EXPECTED_POINTS = 2.0e7
 
 
-def _guard_point_budget(mean: float) -> None:
+def _guard_point_budget(mean: float, where: str) -> None:
+    """ConfigError when ``mean`` expected points, counted ``where``, exceed the budget."""
     if mean > _MAX_EXPECTED_POINTS:
         raise ConfigError(
-            f"expected point count {mean:.3g} exceeds the sampling budget "
+            f"expected point count {mean:.3g} {where} exceeds the sampling budget "
             f"{_MAX_EXPECTED_POINTS:.0e}; densities are per square meter "
-            "(divide per-km^2 values by 1e6), check units and window size"
+            "(divide per-km^2 values by 1e6)"
         )
 
 
@@ -133,7 +134,7 @@ def sample_block_model(model: BlockModel, seed) -> Deployment:
     blocks = model.blocks(include_zero=True)
     streams = root.spawn(len(blocks))
     area = model.window.area()
-    _guard_point_budget(sum(lam for _, lam in blocks) * area)
+    _guard_point_budget(sum(lam for _, lam in blocks) * area, "in the window")
     parts_xy = []
     parts_occ = []
     for (subset, lam), stream in zip(blocks, streams):
@@ -161,7 +162,7 @@ def couple_two_operators(spec: TwoOpSpec, window: Window, seed) -> Deployment:
     density (a-b)*lambda_total.
     """
     rng = _as_generator(seed)
-    _guard_point_budget(spec.lambda_total * window.area())
+    _guard_point_budget(spec.lambda_total * window.area(), "in the window")
     n = int(rng.poisson(spec.lambda_total * window.area()))
     xy = _uniform_in_window(rng, window, n)
     u = rng.random(n)

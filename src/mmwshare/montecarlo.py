@@ -1,4 +1,4 @@
-"""Monte Carlo SINR sampling for a user at the window center.
+"""Monte Carlo SINR sampling for a typical user.
 
 Each replication draws fresh network geometry (for point-process
 scenarios), blockage labels, fades and interferer beam gains, then
@@ -7,17 +7,16 @@ site.  It draws every site near the user but only the LOS sites beyond a
 near radius: LOS labelling is an independent thinning, so the far LOS
 sites are a Poisson process of their own, and the far NLOS sites it
 drops carry a mean interference bounded by NLOS_OMISSION_BOUND noise
-powers.  Since the SINR depends on the sites' distances alone, a point
-process whose near disc lies inside the window is drawn by distance: the
-near disc's sites at i.i.d. distances of density 2r/R^2, the far LOS
-sites from their radial law.  Replications run in fixed batches whose
-size depends on the scenario alone, and batch k draws from its own
-stream, the k-th child of the seed's SeedSequence.  Samples are
-therefore reproducible bit-for-bit for a given seed regardless of worker
-count.
+powers.  A point process is drawn on the whole plane around the user,
+as the analytic engine integrates it, and by distance, since the SINR
+depends on the sites' distances alone: the near disc's sites at i.i.d.
+distances of density 2r/R^2, the far LOS sites from their radial law.
+A fixed deployment is seen from its window's center.  Replications run
+in fixed batches whose size depends on the scenario alone, and batch k
+draws from its own stream, the k-th child of the seed's SeedSequence.
+Samples are therefore reproducible bit-for-bit for a given seed
+regardless of worker count.
 
-The scenario fixes the window: a BlockModel is drawn on its own window,
-a TwoOpSpec on the square of its home operator's truncation radius.
 Curves are built from the samples by the *_curve_from_samples functions.
 """
 
@@ -29,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import TAIL_MASS, CoverageCurve, truncation_radius
+from .analytic import TAIL_MASS, CoverageCurve
 from .channel import sinr_batch
 from .core import (
     BlockModel,
@@ -38,7 +37,6 @@ from .core import (
     NumericalError,
     SystemParams,
     TwoOpSpec,
-    Window,
     check_grid,
     check_seed,
     pool_size,
@@ -60,16 +58,13 @@ _SITES_PER_BATCH = 2**14
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Settings of a simulation run; the scenario says what is simulated, and where.
+    """Settings of a simulation run; the scenario says what is simulated.
 
     seed may be an int >= 0 or a tuple of them (tuples let callers derive
     independent streams for related runs).  Replications run in fixed
     batches, each drawing from its own child stream of the seed, so the
     samples depend on the seed and the scenario but not on workers.
-    replications is capped at MAX_REPLICATIONS.  A window whose half-width
-    is below the analytic truncation radius of the home operator is
-    rejected unless enforce_radius is cleared, since it would bias the
-    tail of the serving-distance distribution.
+    replications is capped at MAX_REPLICATIONS.
     """
 
     replications: int = 20000
@@ -77,7 +72,6 @@ class SimPlan:
     home_operator: int = 1
     include_interference: bool = True
     workers: int = 1
-    enforce_radius: bool = True
 
     def __post_init__(self):
         if not 1 <= self.replications <= MAX_REPLICATIONS:
@@ -97,7 +91,6 @@ class RunReport:
     replications: int
     redraws: int
     home_operator: int
-    half_width_m: float
     near_radius_m: float
     sites_per_rep: float
     fading: str
@@ -111,7 +104,6 @@ class RunReport:
             f"replications: {self.replications}",
             f"redraws: {self.redraws}",
             f"home_operator: {self.home_operator}",
-            f"half_width_m: {self.half_width_m!r}",
             f"near_radius_m: {self.near_radius_m!r}",
             f"far_field: LOS sites only; omitted mean NLOS interference <= "
             f"{NLOS_OMISSION_BOUND:g} x noise power",
@@ -149,7 +141,7 @@ def _nlos_mean_power(params: SystemParams) -> float:
     return params.c_nlos * (p * params.gain_main + (1.0 - p) * params.gain_side) * fade
 
 
-def _near_radius(model: BlockModel, params: SystemParams, home_operator: int) -> float:
+def _near_radius(model: BlockModel | TwoOpSpec, params: SystemParams, home_operator: int) -> float:
     """Radius beyond which a replication of ``model`` draws only LOS sites.
 
     The larger of two radii: the one where the mean interference of every
@@ -191,61 +183,48 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _PoissonField:
-    """A BlockModel's sites as the user at the window center sees them.
+    """A Poisson scenario's sites as the typical user at the origin sees them.
 
-    The SINR depends on each site's distance to the user alone.  When the
-    near disc B(radius) lies inside the window, its sites are drawn by
-    distance: Poisson block counts of mean lam*pi*radius^2 at distances
+    The SINR depends on each site's distance to the user alone, so the
+    whole plane is drawn by distance.  The near disc B(radius) holds
+    Poisson block counts of mean lam*pi*radius^2 at distances
     radius*sqrt(U), LOS with probability exp(-beta*d).  Beyond the disc
     only the LOS sites are drawn, a PPP of radial intensity
     2*pi*r*lam*exp(-beta*r): its count has mean
-    2*pi*lam*exp(-beta*radius)*(radius/beta + 1/beta^2), each r is radius
-    plus an Exp(beta) or Gamma(2, beta) excess in the ratio beta*radius : 1,
-    and a uniform angle drops the sites outside the window.  When the disc
-    does not fit inside the window, or the far field would draw more sites
-    than the whole window holds, the whole window is drawn instead:
-    uniform positions, LOS with probability exp(-beta*d), no far field.
+    2*pi*lam*exp(-beta*radius)*(radius/beta + 1/beta^2), and each r is
+    radius plus an Exp(beta) or Gamma(2, beta) excess in the ratio
+    beta*radius : 1.
     """
 
     bits: np.ndarray        # occupant mask of each block
-    near_means: np.ndarray  # expected near sites of each block: in the disc or the window
-    far_means: np.ndarray | None  # expected far candidates per block; None: the whole window
+    near_means: np.ndarray  # expected near sites of each block
+    far_means: np.ndarray   # expected far LOS sites of each block
     far_exp_share: float    # share of far excesses drawn from Exp(beta) rather than Gamma(2)
-    win_lo: np.ndarray      # (2, 1) lower-left window corner, user-relative
-    win_hi: np.ndarray      # (2, 1) upper-right window corner, user-relative
     radius: float
     beta: float
     home_blocks: np.ndarray
 
     @classmethod
-    def build(cls, model: BlockModel, params: SystemParams, home_operator: int) -> "_PoissonField":
-        w = model.window
-        ux, uy = w.center()
+    def build(cls, model: BlockModel | TwoOpSpec, params: SystemParams,
+              home_operator: int) -> "_PoissonField":
         radius = _near_radius(model, params, home_operator)
         beta = params.beta_per_m
         bits = np.array([sub.bits for sub, _ in model.blocks()], dtype=np.uint16)
         lam = np.array([lam for _, lam in model.blocks()])
-        margin = min(ux - w.x_min, w.x_max - ux, uy - w.y_min, w.y_max - uy)
-        # expected sites per unit density: in the disc, and far LOS beyond it
-        disc = math.pi * radius * radius
         far = 2.0 * math.pi * math.exp(-beta * radius) * (radius + 1.0 / beta) / beta
-        by_distance = margin >= radius and disc + far < w.area()
         return cls(
             bits=bits,
-            near_means=lam * (disc if by_distance else w.area()),
-            far_means=lam * far if by_distance else None,
+            near_means=lam * (math.pi * radius * radius),
+            far_means=lam * far,
             far_exp_share=beta * radius / (beta * radius + 1.0),
-            win_lo=np.array([[w.x_min - ux], [w.y_min - uy]]),
-            win_hi=np.array([[w.x_max - ux], [w.y_max - uy]]),
             radius=radius,
             beta=beta,
             home_blocks=(bits & (1 << (home_operator - 1))) != 0,
         )
 
     def sites(self) -> float:
-        """Expected sites drawn per replication: near sites plus far candidates."""
-        return float(self.near_means.sum() + (0.0 if self.far_means is None
-                                              else self.far_means.sum()))
+        """Expected sites drawn per replication: near sites plus far LOS sites."""
+        return float(self.near_means.sum() + self.far_means.sum())
 
     def draw(self, n: int, rng: np.random.Generator):
         """Sites of n replications, concatenated per replication.
@@ -255,7 +234,7 @@ class _PoissonField:
         one call; each replication without a near home site redraws its
         near counts, in replication order, until it has one.  Then come
         the near distances, their LOS labels and, beyond the disc, the far
-        counts, excess mixture choices, excesses and angles.
+        counts, excess mixture choices and excesses.
         """
         nb = self.bits.size
         counts = rng.poisson(self.near_means, (n, nb))
@@ -269,35 +248,24 @@ class _PoissonField:
             empty = empty[counts[empty][:, self.home_blocks].sum(axis=1) == 0]
         if empty.size:
             raise NumericalError(
-                f"no home-operator site after {MAX_DRAWS} redraws; "
-                "the home density is too small for this window"
+                f"no home-operator site in the {self.radius:.3g} m near disc after "
+                f"{MAX_DRAWS} redraws"
             )
         occ = np.repeat(np.tile(self.bits, n), counts.ravel())
         sizes = counts.sum(axis=1)
-        if self.far_means is None:  # the whole window
-            rel = rng.random((2, occ.size))
-            rel *= self.win_hi - self.win_lo
-            rel += self.win_lo
-            d = _distances(rel)
-        else:  # the disc: distance density 2r/R^2
-            d = rng.random(occ.size)
-            np.sqrt(d, out=d)
-            d *= self.radius
-            np.maximum(d, 1e-3, out=d)
+        d = rng.random(occ.size)  # distance density 2r/R^2
+        np.sqrt(d, out=d)
+        d *= self.radius
+        np.maximum(d, 1e-3, out=d)
         los = rng.random(d.size) < np.exp(d * -self.beta)
-        if self.far_means is not None:
-            counts = rng.poisson(self.far_means, (n, nb))
-            far_occ = np.repeat(np.tile(self.bits, n), counts.ravel())
-            rep = np.repeat(np.arange(n), counts.sum(axis=1))
-            k = far_occ.size
-            gamma2 = rng.random(k) >= self.far_exp_share
-            excess = rng.standard_exponential((2, k))
-            far_d = self.radius + (excess[0] + excess[1] * gamma2) / self.beta
-            angle = rng.random(k) * (2.0 * math.pi)
-            rel = far_d * np.array([np.cos(angle), np.sin(angle)])
-            keep = np.all((rel >= self.win_lo) & (rel <= self.win_hi), axis=0)
-            d, los, occ, sizes = _append_far(d, los, occ, sizes, rep[keep], far_d[keep],
-                                             far_occ[keep])
+        counts = rng.poisson(self.far_means, (n, nb))
+        far_occ = np.repeat(np.tile(self.bits, n), counts.ravel())
+        rep = np.repeat(np.arange(n), counts.sum(axis=1))
+        k = far_occ.size
+        gamma2 = rng.random(k) >= self.far_exp_share
+        excess = rng.standard_exponential((2, k))
+        far_d = self.radius + (excess[0] + excess[1] * gamma2) / self.beta
+        d, los, occ, sizes = _append_far(d, los, occ, sizes, rep, far_d, far_occ)
         return d, los, occ, _starts(sizes), redraws
 
 
@@ -438,41 +406,28 @@ def median_rate_from_samples(samples: np.ndarray, params: SystemParams,
 # Scenario resolution and the top-level driver
 
 def _resolve_scenario(scenario, params: SystemParams, plan: SimPlan):
-    """Returns (the scenario's field, its window, its description)."""
+    """Returns (the scenario's field, its description)."""
     if isinstance(scenario, Deployment):
         if not np.any(scenario.occupants & (1 << (plan.home_operator - 1))):
             raise DataError(f"deployment contains no operator-{plan.home_operator} site")
-        return (_DeploymentField.build(scenario, params, plan.home_operator), scenario.window,
+        return (_DeploymentField.build(scenario, params, plan.home_operator),
                 f"deployment(n_sites={scenario.n_sites})")
-    if isinstance(scenario, TwoOpSpec):
-        lam_home = scenario.operator_density(plan.home_operator)  # raises unless 1 or 2
-        # independent uniform marks split the mother PPP into independent blocks
-        scenario = scenario.to_block_model(Window.square(truncation_radius(lam_home, params)))
-    elif not isinstance(scenario, BlockModel):
+    if not isinstance(scenario, (BlockModel, TwoOpSpec)):
         raise ConfigError(
             f"scenario must be a BlockModel, TwoOpSpec or Deployment, "
             f"got {type(scenario).__name__}"
         )
-    lam_home = scenario.operator_density(plan.home_operator)
-    if lam_home <= 0:
+    # a TwoOpSpec raises unless the operator is 1 or 2
+    if scenario.operator_density(plan.home_operator) <= 0:
         raise ConfigError(f"operator {plan.home_operator} has zero density")
-    window = scenario.window
-    if plan.enforce_radius:
-        r_max = truncation_radius(lam_home, params)
-        cx, cy = window.center()
-        margin = min(cx - window.x_min, window.x_max - cx, cy - window.y_min, window.y_max - cy)
-        if margin < r_max * (1.0 - 1e-9):
-            raise ConfigError(
-                f"window half-width {margin:.1f} m is below the truncation "
-                f"radius {r_max:.1f} m; enlarge the window"
-            )
-    _guard_point_budget(scenario.total_density() * window.area())
-    return _PoissonField.build(scenario, params, plan.home_operator), window, scenario.to_text()
+    field = _PoissonField.build(scenario, params, plan.home_operator)
+    _guard_point_budget(field.sites(), "per replication")
+    return field, scenario.to_text()
 
 
 def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
     """Collect per-replication SINR samples and the run's provenance report."""
-    field, window, desc = _resolve_scenario(scenario, params, plan)
+    field, desc = _resolve_scenario(scenario, params, plan)
     root = _as_seed_sequence(plan.seed)
     batch = max(1, int(_SITES_PER_BATCH // max(field.sites(), 1.0)))
     n_batches = -(-plan.replications // batch)
@@ -488,14 +443,11 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
         sites = sum(p[2] for p in parts)
     else:
         samples, redraws, sites = run((0, n_batches))
-    cx, cy = window.center()
-    half = min(window.x_max - cx, window.y_max - cy)
     report = RunReport(
         scenario=desc,
         replications=plan.replications,
         redraws=redraws,
         home_operator=plan.home_operator,
-        half_width_m=float(half),
         near_radius_m=field.radius,
         sites_per_rep=sites / plan.replications,
         fading=params.fading.kind,

@@ -545,6 +545,16 @@ def test_coverage_curve_validation():
         mw.CoverageCurve(np.array([0.0, 1.0]), np.array([0.4, 0.6]), "db")
     with pytest.raises(DataError):
         mw.CoverageCurve(np.array([0.0]), np.array([0.5]), "parsec")
+    # NaN fails every comparison, so each bound is checked for it
+    for thresholds in ([np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(DataError, match="finite"):
+            mw.CoverageCurve(np.array(thresholds), np.full(len(thresholds), 0.5), "db")
+    for probabilities in ([np.nan], [0.5, np.nan], [np.inf, 0.5]):
+        with pytest.raises(NumericalError):
+            mw.CoverageCurve(np.arange(len(probabilities), dtype=float),
+                             np.array(probabilities), "db")
+    with pytest.raises(DataError, match="ci_halfwidth"):
+        mw.CoverageCurve(np.array([0.0]), np.array([0.5]), "db", ci_halfwidth=np.array([np.nan]))
     # the kind follows from the confidence intervals
     assert mw.CoverageCurve(np.array([0.0]), np.array([0.5]), "db").kind == "analytic"
     assert mw.CoverageCurve(np.array([0.0]), np.array([0.5]), "db",
@@ -570,9 +580,18 @@ def test_coverage_curve_csv_round_trip(tmp_path):
     assert np.array_equal(back2.ci_halfwidth, empirical.ci_halfwidth)
 
     bad = tmp_path / "bad.csv"
-    bad.write_text("foo,bar\n1,2\n")
-    with pytest.raises(DataError):
-        mw.CoverageCurve.from_csv(bad)
+    for content, message in [
+        (b"foo,bar\n1,2\n", "unknown curve header"),
+        (b"threshold_db,probability\n0.0,0.5\n1.0\n", "ragged curve rows"),
+        (b"threshold_db,probability\n0.0,0.5,0.1\n", "ragged curve rows"),
+        (b"threshold_db,probability\n0.0,x\n", "bad numeric value"),
+        (b"threshold_db,probability\n0.0,nan\n", "NaN"),
+        (b"threshold_db,probability\nnan,0.5\n", "finite"),
+        (b"threshold_db,probability\n0.0,0.5\xff\n", "cannot read curve file"),
+    ]:
+        bad.write_bytes(content)
+        with pytest.raises((DataError, NumericalError), match=message):
+            mw.CoverageCurve.from_csv(bad)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "analytic_golden.json").read_text())

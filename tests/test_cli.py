@@ -123,34 +123,40 @@ def test_simulate_on_deployment_csv(tmp_path):
     rates = mw.CoverageCurve.from_csv(out / "rate_empirical.csv")
     assert rates.unit == "bps"
     assert "replications: 200" in (out / "run_report.txt").read_text()
-    # a window override contradicts fixed site data
-    assert main(["simulate", "--deployment", str(csv_path), "--window-km", "4",
-                 "--out", str(out)]) == 2
+    # a fixed deployment keeps its file's window: simulate takes none
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--deployment", str(csv_path), "--window-km", "4", "--out", str(out)])
+    assert exc.value.code == 2
 
 
 def test_window_override_of_a_deployment_exits_2_before_reading_it(tmp_path, capsys):
+    # simulate has no --window-km for any source: the parser refuses it
     out = tmp_path / "sim"
-    assert main(["simulate", "--deployment", str(tmp_path / "missing.csv"), "--window-km", "4",
-                 "--out", str(out)]) == 2
-    assert "--window-km does not apply to a fixed deployment" in capsys.readouterr().err
+    for source in (["--deployment", str(tmp_path / "missing.csv")],
+                   ["--blocks", str(tmp_path / "missing.json")], ["--fid", "0.4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *source, "--window-km", "4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window-km 4" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_fid_and_its_blocks_on_one_window_write_the_same_files(tmp_path):
     # FID rho=0 at 30/km^2 is the blocks {1: 30, 2: 30}/km^2 bit for bit, so
-    # on one --window-km both runs draw the same stream and describe it alike
+    # both runs draw the same stream and describe it alike; the blocks file's
+    # 100 m window, below the truncation radius, is no engine's window
     blocks = tmp_path / "b.json"
-    blocks.write_text(json.dumps({"window_m": [-3300.0, 3300.0, -3300.0, 3300.0],
+    blocks.write_text(json.dumps({"window_m": [-50.0, 50.0, -50.0, 50.0],
                                   "densities_per_km2": {"1": 30.0, "2": 30.0}}))
     runs = {"fid": ["--fid", "0", "--lambda0", "30"], "blocks": ["--blocks", str(blocks)]}
     for name, source in runs.items():
-        assert main(["simulate", *source, "--window-km", "8", "--reps", "300", "--seed", "3",
+        assert main(["simulate", *source, "--reps", "300", "--seed", "3",
                      "--sinr", "-10:10:30", "--out", str(tmp_path / name)]) == 0
     for name in ("sinr_empirical.csv", "run_report.txt"):
         assert (tmp_path / "fid" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
     report = (tmp_path / "fid" / "run_report.txt").read_text()
     assert report.startswith("scenario: blocks(1:30/km^2, 2:30/km^2)\n")
-    assert "half_width_m: 4000.0\n" in report
+    assert "half_width_m" not in report
 
 
 @pytest.mark.filterwarnings("error")
@@ -165,16 +171,28 @@ def test_unreachable_thresholds_give_coverage_0_without_a_warning(tmp_path, caps
     assert mw.CoverageCurve.from_csv(out / "rate_coverage.csv").probabilities.tolist() == [0, 0]
 
 
-def test_simulate_oversized_window_is_config_error(tmp_path):
-    # ~1e14 expected sites either way: rejected before any replication
-    blocks = tmp_path / "huge.json"
-    blocks.write_text(json.dumps({"window_m": [-1e9, 1e9, -1e9, 1e9],
-                                  "densities_per_km2": {"1": 30.0, "1;2": 10.0}}))
-    out = tmp_path / "o"
-    assert main(["simulate", "--blocks", str(blocks), "--reps", "10",
-                 "--out", str(out)]) == 2
-    assert main(["simulate", "--fid", "0.4", "--window-km", "2e6", "--reps", "10",
-                 "--out", str(out)]) == 2
+@pytest.mark.parametrize("argv, message", [
+    # per-m^2 densities typed per km^2 (x1e6): ~1e16 expected sites per replication
+    (["simulate", "--fid", "0.4", "--lambda0", "1e9", "--reps", "10"],
+     "per replication exceeds the sampling budget"),
+    (["simulate", "--blocks", "huge.json", "--reps", "10"],
+     "per replication exceeds the sampling budget"),
+    (["compare", "--lambda0", "1e9", "--reps", "10"],
+     "per replication exceeds the sampling budget"),
+    (["analyze", "--fid", "0.4", "--params", "nakagami.json"], "Rayleigh fading only"),
+], ids=["simulate-fid", "simulate-blocks", "compare", "analyze"])
+def test_engine_refusals_exit_2_without_output(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.json").write_text(json.dumps({
+        "window_m": [-3300.0, 3300.0, -3300.0, 3300.0],
+        "densities_per_km2": {"1": 3e7, "1;2": 1e7}}))
+    (tmp_path / "nakagami.json").write_text(json.dumps({"fading": {
+        "kind": "nakagami-lognormal", "nakagami_m_los": 2.0, "nakagami_m_nlos": 3.0,
+        "shadow_sigma_db_los": 5.2, "shadow_sigma_db_nlos": 7.6}}))
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oversized_reps_are_config_errors_before_any_work(tmp_path, capsys):
@@ -421,18 +439,11 @@ def test_unknown_preset_is_config_error(tmp_path):
     (["estimate", "--fid", "0.4x", "--window-km", "2"], "--fid expects a number"),
     (["analyze", "--fid", "0.4", "--threads", "0"], "--threads: must be at least 1, got 0"),
     # --window-km is checked in the km it was typed in
-    (["simulate", "--fid", "0.4", "--window-km", "nan"], "positive width in km, got nan"),
-    (["simulate", "--fid", "0.4", "--window-km", "inf"], "positive width in km, got inf"),
-    (["simulate", "--fid", "0.4", "--window-km", "-1"], "positive width in km, got -1"),
     (["estimate", "--fcd", "0.4", "--window-km", "nan"], "positive width in km, got nan"),
     (["estimate", "--fcd", "0.4", "--window-km", "inf"], "positive width in km, got inf"),
     (["estimate", "--fcd", "0.4", "--window-km", "0"], "positive width in km, got 0"),
-    (["simulate", "--fid", "0.4", "--window-km", "1", "--reps", "10"],
-     "is below the truncation radius"),
 ], ids=["analyze-fid", "simulate-fcd", "estimate-fid", "analyze-threads",
-        "simulate-window-nan", "simulate-window-inf", "simulate-window-negative",
-        "estimate-window-nan", "estimate-window-inf", "estimate-window-zero",
-        "simulate-window-small"])
+        "estimate-window-nan", "estimate-window-inf", "estimate-window-zero"])
 def test_malformed_sharing_value_or_thread_count_exits_2_without_output(tmp_path, capsys, argv,
                                                                         message):
     out = tmp_path / "out"

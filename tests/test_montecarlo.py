@@ -124,28 +124,37 @@ def test_simulation_rejects_zero_density_home():
         mw.run_simulation(lonely, P, SimPlan(replications=10, home_operator=2))
 
 
-def test_oversized_window_hits_the_point_budget_before_sampling():
-    # ~1e14 expected sites: without the guard this fails on allocation
-    model = mw.BlockModel(mw.Window.square(1e9), {mw.OperatorSet.of(1): 30.0 / KM2})
+def test_density_per_km2_given_per_m2_hits_the_point_budget_before_sampling(monkeypatch):
+    # 30 read as 30 sites per m^2: ~1e13 expected sites per replication, which
+    # would fail on allocation; refused before any draw
+    def no_draw(*args):
+        raise AssertionError("a refused scenario must not be sampled")
+
+    monkeypatch.setattr(montecarlo._PoissonField, "draw", no_draw)
+    model = mw.BlockModel(mw.Window.square(3300.0), {mw.OperatorSet.of(1): 30.0})
     with pytest.raises(ConfigError, match="sampling budget"):
         mw.run_simulation(model, P, SimPlan(replications=10, workers=2))
-    with pytest.raises(ConfigError, match="sampling budget"):
-        mw.run_simulation(SPEC.to_block_model(mw.Window.square(1e9)), P, SimPlan(replications=10))
+    with pytest.raises(ConfigError, match="per replication exceeds the sampling budget"):
+        mw.run_simulation(mw.fid_scenario(30.0, 0.4), P, SimPlan(replications=10))
 
 
-def test_window_below_truncation_radius_is_rejected():
-    model = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): 30.0 / KM2})
-    with pytest.raises(ConfigError, match="truncation"):
-        mw.run_simulation(model, P, SimPlan(replications=10))
-    # the check is an accuracy guard, not a hard capability limit
-    res = mw.run_simulation(model, P, SimPlan(replications=10, seed=2, enforce_radius=False))
-    assert res.sinr.shape == (10,)
+def _starved(monkeypatch, density_km2, home_sites):
+    """One operator whose near disc holds ``home_sites`` expected sites.
+
+    At these densities the home void radius sets the disc, and TAIL_MASS
+    sets that radius: a draw lacks a home site with probability TAIL_MASS.
+    """
+    monkeypatch.setattr(montecarlo, "TAIL_MASS", math.exp(-home_sites))
+    model = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): density_km2 / KM2})
+    near = montecarlo._PoissonField.build(model, P, 1).near_means.sum()
+    assert near == pytest.approx(home_sites, rel=1e-9)
+    return model
 
 
-def test_redraw_budget_exhaustion():
+def test_redraw_budget_exhaustion(monkeypatch):
     # ~6e-7 expected sites per draw: no home site will ever appear
-    model = mw.BlockModel(mw.Window.square(40.0), {mw.OperatorSet.of(1): 1e-10})
-    plan = SimPlan(replications=5, seed=0, enforce_radius=False)
+    model = _starved(monkeypatch, 1e-4, 6e-7)
+    plan = SimPlan(replications=5, seed=0)
     with pytest.raises(NumericalError, match="redraws"):
         mw.run_simulation(model, P, plan)
 
@@ -169,7 +178,6 @@ THREE_OP = mw.BlockModel(
      mw.OperatorSet.of(3): 15.0 / KM2, mw.OperatorSet.of(1, 2): 15.0 / KM2,
      mw.OperatorSet.of(1, 2, 3): 10.0 / KM2},
 )
-CROWDED = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): 30.0 / KM2})
 
 
 def _fixed_deployment():
@@ -197,10 +205,12 @@ def test_samples_do_not_depend_on_workers(many_cpus, scenario, fading):
     assert runs[0].sinr.shape == (250,) and np.all(np.isfinite(runs[0].sinr))
 
 
-def test_frequent_redraws_are_deterministic(many_cpus):
+def test_frequent_redraws_are_deterministic(many_cpus, monkeypatch):
+    crowded = _starved(monkeypatch, 3.0, 1.2)
+
     def run(workers):
-        plan = SimPlan(replications=400, seed=3, workers=workers, enforce_radius=False)
-        return mw.run_simulation(CROWDED, P, plan)
+        plan = SimPlan(replications=400, seed=3, workers=workers)
+        return mw.run_simulation(crowded, P, plan)
 
     first, again, pooled = run(1), run(1), run(2)
     # ~1.2 expected home sites per draw: about 30% of draws come up empty
@@ -210,11 +220,11 @@ def test_frequent_redraws_are_deterministic(many_cpus):
         assert other.report.redraws == first.report.redraws
 
 
-def test_batch_of_mostly_empty_draws_fills_every_sample():
+def test_batch_of_mostly_empty_draws_fills_every_sample(monkeypatch):
     # ~0.12 expected home sites per draw, and all 300 replications in one batch
-    sparse = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): 3.0 / KM2})
+    sparse = _starved(monkeypatch, 0.3, 0.12)
     assert montecarlo._SITES_PER_BATCH >= 300
-    res = mw.run_simulation(sparse, P, SimPlan(replications=300, seed=5, enforce_radius=False))
+    res = mw.run_simulation(sparse, P, SimPlan(replications=300, seed=5))
     assert res.report.redraws > 5 * 300
     assert res.sinr.shape == (300,)
     assert np.all(np.isfinite(res.sinr)) and np.all(res.sinr > 0)
@@ -285,36 +295,6 @@ def _whole_window_draw(model, n, beta, home_operator, max_draws, rng):
     return d, los, occ, starts, redraws, (x, y)
 
 
-@pytest.mark.parametrize("density", [30.0, 3.0], ids=["crowded", "sparse"])
-def test_disc_not_inside_the_window_is_the_whole_window_draw(density):
-    # the ~620 m near disc does not fit inside a 100 m window: no far field,
-    # and the counts, redraws, distances and labels are those of the whole window
-    model = mw.BlockModel(mw.Window.square(100.0), {mw.OperatorSet.of(1): density / KM2})
-    field = montecarlo._PoissonField.build(model, P, 1)
-    assert field.radius > 100.0 and field.far_means is None
-    got = field.draw(300, np.random.default_rng(17))
-    want = _whole_window_draw(model, 300, P.beta_per_m, 1, montecarlo.MAX_DRAWS,
-                              np.random.default_rng(17))
-    assert want[4] > 20
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
-def test_far_field_larger_than_the_window_is_the_whole_window_draw():
-    # at beta = 1e-5 /m almost every site is LOS: the far field beyond the
-    # disc would hold more candidates than the whole window, which is drawn instead
-    params = dataclasses.replace(P, beta_per_m=1e-5)
-    model = SPEC.to_block_model(mw.Window.square(mw.truncation_radius(SPEC.lambda_op1, P)))
-    field = montecarlo._PoissonField.build(model, params, 1)
-    assert field.radius < 1000.0 and field.far_means is None
-    assert field.sites() == pytest.approx(model.total_density() * model.window.area())
-    got = field.draw(20, np.random.default_rng(19))
-    want = _whole_window_draw(model, 20, params.beta_per_m, 1, montecarlo.MAX_DRAWS,
-                              np.random.default_rng(19))
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
 def test_omitted_nlos_interference_is_below_the_closed_form_bound():
     # full-window draws of the FID scenario: the NLOS occupants outside the
     # near disc carry, on average, less than the bound the radius was chosen for
@@ -342,22 +322,21 @@ def test_omitted_nlos_interference_is_below_the_closed_form_bound():
 
 
 def test_far_field_does_not_depend_on_the_window_size():
-    # far LOS candidates are drawn by distance: the same expected number at
-    # the default window and at 20 km, where window-wide candidates grew with
-    # the window (90 against 950 per replication)
-    halves = [mw.truncation_radius(SPEC.lambda_op1, P), 20000.0]
+    # the whole plane is drawn: a 100 m window, below the truncation radius,
+    # and a 3.3 km one give the same samples and report
+    blocks = dict(THREE_OP.blocks())
+    runs = [mw.run_simulation(mw.BlockModel(mw.Window.square(h), blocks), P,
+                              SimPlan(replications=300, seed=2)) for h in (100.0, 3300.0)]
+    assert runs[0].sinr.tobytes() == runs[1].sinr.tobytes()
+    assert runs[0].report.to_text() == runs[1].report.to_text()
     fields = [montecarlo._PoissonField.build(SPEC.to_block_model(mw.Window.square(h)), P, 1)
-              for h in halves]
+              for h in (100.0, 20000.0)]
     assert fields[0].sites() == fields[1].sites()
     assert fields[0].far_means.sum() == pytest.approx(0.38, abs=0.02)
 
 
-def test_far_sites_are_los_beyond_the_disc_and_follow_the_clipped_intensity():
-    # a 700 m window holds the ~622 m disc and clips the far field beyond 700 m
-    h = 700.0
-    model = SPEC.to_block_model(mw.Window.square(h))
-    field = montecarlo._PoissonField.build(model, P, 1)
-    assert field.far_means is not None and field.radius < h
+def test_far_sites_are_los_beyond_the_disc_and_follow_their_radial_law():
+    field = montecarlo._PoissonField.build(SPEC, P, 1)
     # the same stream without far sites: its segments are the near sites
     near_only = dataclasses.replace(field, far_means=np.zeros_like(field.far_means))
     n = 20000
@@ -368,17 +347,17 @@ def test_far_sites_are_los_beyond_the_disc_and_follow_the_clipped_intensity():
     far = rank >= np.repeat(np.diff(near_starts, append=near_d.size), sizes)
     assert np.array_equal(d[~far], near_d)
     assert np.all(los[far])
-    assert np.all(d[far] > field.radius) and np.all(d[far] <= h * math.sqrt(2.0))
-    # kept sites in distance bands: lam*exp(-beta*r) times the length of the
-    # circle of radius r inside the window
-    lam = sum(lam for _, lam in model.blocks())
-    r = np.linspace(field.radius, h * math.sqrt(2.0), 200_001)
-    arc = 2.0 * math.pi * r - 8.0 * r * np.arccos(np.minimum(h / r, 1.0))
-    density = n * lam * np.exp(-P.beta_per_m * r) * arc
-    cum = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) / 2.0 * np.diff(r))])
-    edges = np.array([field.radius, 650.0, 700.0, 750.0, 800.0, 850.0, h * math.sqrt(2.0)])
-    want = np.diff(np.interp(edges, r, cum))
-    got = np.histogram(d[far], edges)[0]
+    assert np.all(d[far] > field.radius)
+    mean = n * field.far_means.sum()
+    assert abs(far.sum() - mean) <= 5.0 * math.sqrt(mean)
+    # sites in distance bands, the last one unbounded: the integral of the
+    # radial intensity 2*pi*r*lam*exp(-beta*r), nothing clipped
+    lam, beta = sum(lam for _, lam in SPEC.blocks()), P.beta_per_m
+    edges = np.array([field.radius, 650.0, 700.0, 750.0, 800.0, 850.0, 1000.0])
+    beyond = n * 2.0 * math.pi * lam * np.exp(-beta * edges) * (edges / beta + 1.0 / beta**2)
+    want = beyond - np.append(beyond[1:], 0.0)
+    got = np.bincount(np.searchsorted(edges, d[far], side="right") - 1, minlength=edges.size)
+    assert want.sum() == pytest.approx(mean, rel=1e-12)
     assert want.sum() > 3000.0 and want[-1] > 100.0
     assert np.all(np.abs(got - want) <= 5.0 * np.sqrt(want))
 
@@ -454,7 +433,6 @@ def test_run_report_states_the_near_radius_and_sites_drawn():
     assert 600.0 < res.report.near_radius_m < 650.0
     assert f"near_radius_m: {res.report.near_radius_m!r}" in text
     assert "omitted mean NLOS interference <= 1e-05 x noise power" in text
-    # the near disc holds ~52.0 sites and the far field adds ~0.4; the whole
-    # window held ~1,842
+    # the near disc holds ~52.0 sites and the far field adds ~0.4
     assert 50.0 < res.report.sites_per_rep < 55.0
     assert f"sites_per_rep: {res.report.sites_per_rep!r}" in text
