@@ -321,14 +321,20 @@ def test_omitted_nlos_interference_is_below_the_closed_form_bound():
     assert n_dropped > 0.9 * n_sites
 
 
-def test_far_field_does_not_depend_on_the_window_size():
+def test_window_below_truncation_radius_samples_the_whole_plane():
     # the whole plane is drawn: a 100 m window, below the truncation radius,
     # and a 3.3 km one give the same samples and report
     blocks = dict(THREE_OP.blocks())
     runs = [mw.run_simulation(mw.BlockModel(mw.Window.square(h), blocks), P,
                               SimPlan(replications=300, seed=2)) for h in (100.0, 3300.0)]
+    assert runs[0].sinr.shape == (300,)
     assert runs[0].sinr.tobytes() == runs[1].sinr.tobytes()
     assert runs[0].report.to_text() == runs[1].report.to_text()
+
+
+def test_far_field_does_not_depend_on_the_window_size():
+    # far LOS candidates are drawn by distance: the same expected number in a
+    # 100 m window and in a 20 km one
     fields = [montecarlo._PoissonField.build(SPEC.to_block_model(mw.Window.square(h)), P, 1)
               for h in (100.0, 20000.0)]
     assert fields[0].sites() == fields[1].sites()
