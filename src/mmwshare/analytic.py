@@ -666,8 +666,7 @@ _OUTER_KNEE = 1e-4
 
 
 def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
-                    home_operator: int, include_interference: bool,
-                    r_max: float) -> np.ndarray:
+                    home_operator: int, r_max: float) -> np.ndarray:
     """Coverage at every threshold: one adaptive integral over r in [0, r_max] each.
 
     Each integrand call gets the r nodes of every pending panel; those
@@ -692,15 +691,13 @@ def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
         vals = _association_density(1.0, lam_home, params, r, los, params.sigma2 * s)
         vals[vals < 1e-300] = 0.0
         live = np.flatnonzero(vals)
-        if include_interference and live.size:
+        if live.size:
             r, s, los = r[live], s[live], los[live]
             segs = _segments_general(classes, params, r, los)
             expo = _exponent_each(segs, params, s[:, None, None])
             u_r = interference_kernel(params, s, r, los)
             vals[live] = (vals[live] * np.exp(-expo.reshape(live.size, -1).sum(axis=1))
                           * np.sum(lam[home] * u_r[:, None] ** (occupants[home] - 1), axis=1))
-        else:  # noise only, or no live node: thresholds the noise alone makes unreachable
-            vals *= lam_home
         return ((vals[:n] + vals[n:]) * q * y_span * stretch).reshape(v.shape)
 
     # One starting panel per decade of r that the map spans above its knee
@@ -715,8 +712,7 @@ def _coverage_chunk(thresholds_lin: np.ndarray, scenario, params: SystemParams,
 
 
 def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
-                     home_operator: int = 1, *, include_interference: bool = True,
-                     workers: int = 1) -> np.ndarray:
+                     home_operator: int = 1, *, workers: int = 1) -> np.ndarray:
     """Coverage at linear SINR thresholds.
 
     With workers > 1 the grid is split into contiguous chunks, one per
@@ -733,8 +729,7 @@ def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
     if lam_home <= 0:
         raise ConfigError(f"operator {home_operator} has zero density")
     run = partial(_coverage_chunk, scenario=scenario, params=params,
-                  home_operator=home_operator, include_interference=include_interference,
-                  r_max=truncation_radius(lam_home, params))
+                  home_operator=home_operator, r_max=truncation_radius(lam_home, params))
     chunks = np.array_split(thresholds_lin, pool_size(workers, thresholds_lin.size // 4))
     if len(chunks) == 1:
         return run(thresholds_lin)
@@ -744,31 +739,28 @@ def _coverage_linear(scenario, params: SystemParams, thresholds_lin: np.ndarray,
 
 
 def _coverage_curve(scenario, params: SystemParams, values, unit: str, home_operator: int,
-                    include_interference: bool, workers: int) -> CoverageCurve:
+                    workers: int) -> CoverageCurve:
     """The analytic curve over SINR thresholds in dB (unit "db") or rates (unit "bps")."""
     grid = check_grid(values, unit)
     lam_home = operator_density_of(scenario, home_operator)
     thresholds_lin = (10.0 ** (grid / 10.0) if unit == "db"
                       else rate_sinr_threshold(grid, params, lam_home))
-    probs = _coverage_linear(scenario, params, thresholds_lin, home_operator,
-                             include_interference=include_interference, workers=workers)
+    probs = _coverage_linear(scenario, params, thresholds_lin, home_operator, workers=workers)
     # independent quadratures can wiggle below resolution; tidy for the curve
     probs = np.minimum.accumulate(np.round(probs, 12))
     return CoverageCurve(grid, probs, unit=unit)
 
 
 def sinr_coverage(scenario, params: SystemParams, thresholds_db, home_operator: int = 1, *,
-                  include_interference: bool = True, workers: int = 1) -> CoverageCurve:
+                  workers: int = 1) -> CoverageCurve:
     """P(SINR > T) over a strictly increasing grid of thresholds in dB."""
-    return _coverage_curve(scenario, params, thresholds_db, "db", home_operator,
-                           include_interference, workers)
+    return _coverage_curve(scenario, params, thresholds_db, "db", home_operator, workers)
 
 
 def rate_coverage(scenario, params: SystemParams, rates_bps, home_operator: int = 1, *,
-                  include_interference: bool = True, workers: int = 1) -> CoverageCurve:
+                  workers: int = 1) -> CoverageCurve:
     """P(Rate > R): rate targets map to SINR thresholds via the load model."""
-    return _coverage_curve(scenario, params, rates_bps, "bps", home_operator,
-                           include_interference, workers)
+    return _coverage_curve(scenario, params, rates_bps, "bps", home_operator, workers)
 
 
 def median_rate(scenario, params: SystemParams, home_operator: int = 1, *,

@@ -18,11 +18,10 @@ from .core import ConfigError, DataError, FadingSpec, SystemParams
 from .geometry import Deployment
 
 
-def sample_gain(params: SystemParams, rng: np.random.Generator, size: int | None = None):
-    """Bernoulli beam gain draw(s): G w.p. theta_b/pi, else g."""
+def sample_gain(params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size Bernoulli beam gain draws: G w.p. theta_b/pi, else g."""
     u = rng.random(size)
-    out = np.where(u < params.main_lobe_prob, params.gain_main, params.gain_side)
-    return out if size is not None else float(out)
+    return np.where(u < params.main_lobe_prob, params.gain_main, params.gain_side)
 
 
 _NEPER_PER_DB = np.log(10.0) / 10.0
@@ -57,8 +56,8 @@ def _sample_fading_mask(spec: FadingSpec, los: np.ndarray, rng: np.random.Genera
 
 
 def sinr_batch(d: np.ndarray, los: np.ndarray, occupants: np.ndarray, starts: np.ndarray,
-               home_operator: int, params: SystemParams, rng: np.random.Generator,
-               include_interference: bool = True) -> tuple[np.ndarray, np.ndarray]:
+               home_operator: int, params: SystemParams,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """SINR of every segment of a batch of labeled deployments.
 
     Segment i holds sites starts[i] up to the next start (the last runs to
@@ -85,8 +84,6 @@ def sinr_batch(d: np.ndarray, los: np.ndarray, occupants: np.ndarray, starts: np
     serving = hits[np.searchsorted(hits, starts)]  # ties: lowest site id
 
     signal = ell[serving] * _sample_fading_mask(params.fading, los[serving], rng) * params.gain_main
-    if not include_interference:
-        return signal / params.sigma2, serving
     # one term per (site, occupant), less the serving site's aligned home BS
     counts = np.bitwise_count(occupants)
     counts[serving] -= 1
@@ -101,8 +98,7 @@ def sinr_batch(d: np.ndarray, los: np.ndarray, occupants: np.ndarray, starts: np
 
 
 def sinr_at_user(dep: Deployment, user: tuple[float, float], home_operator: int,
-                 params: SystemParams, rng: np.random.Generator,
-                 include_interference: bool = True) -> tuple[float, int]:
+                 params: SystemParams, rng: np.random.Generator) -> tuple[float, int]:
     """SINR of one user against a labeled deployment: sinr_batch on one segment.
 
     Distances are clipped to 1 mm.  Returns (sinr, serving site index).
@@ -113,6 +109,5 @@ def sinr_at_user(dep: Deployment, user: tuple[float, float], home_operator: int,
         raise DataError(f"operator {home_operator} has no site in the deployment")
     d = np.maximum(np.hypot(dep.xy[:, 0] - user[0], dep.xy[:, 1] - user[1]), 1e-3)
     sinr, serving = sinr_batch(d, np.asarray(dep.link_los, dtype=bool), dep.occupants,
-                               np.zeros(1, dtype=np.int64), home_operator, params, rng,
-                               include_interference)
+                               np.zeros(1, dtype=np.int64), home_operator, params, rng)
     return float(sinr[0]), int(serving[0])

@@ -148,9 +148,8 @@ class Window:
             )
 
     @classmethod
-    def square(cls, half_width: float, center: tuple[float, float] = (0.0, 0.0)) -> "Window":
-        cx, cy = center
-        return cls(cx - half_width, cx + half_width, cy - half_width, cy + half_width)
+    def square(cls, half_width: float) -> "Window":
+        return cls(-half_width, half_width, -half_width, half_width)
 
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
@@ -309,9 +308,6 @@ class BlockModel:
     def operator_density(self, m: int) -> float:
         """Density of operator m's network: sum over blocks containing m."""
         return sum(lam for s, lam in self.densities.items() if m in s)
-
-    def total_density(self) -> float:
-        return sum(self.densities.values())
 
     def to_text(self) -> str:
         """``blocks(1:12/km^2, 1;2:6/km^2, ...)``, the positive blocks in bitmask order."""

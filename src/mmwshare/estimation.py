@@ -41,22 +41,17 @@ DEFAULT_MERGE_EPS_M = 10.0
 SMOOTH_WINDOW = 5
 
 
-def estimate_density(dep: Deployment, which=None) -> float:
+def estimate_density(dep: Deployment, operator=None) -> float:
     """Sites per square meter over the deployment window.
 
-    which=None counts every physical site, an int counts sites carrying
-    that operator, an OperatorSet counts sites with exactly that
-    occupant set.
+    operator=None counts every physical site, an int counts sites
+    carrying that operator.
     """
     area = dep.window.area()
-    if which is None:
+    if operator is None:
         n = dep.n_sites
-    elif isinstance(which, OperatorSet):
-        n = int(np.count_nonzero(dep.occupants == np.uint16(which.bits)))
-    elif isinstance(which, int):
-        n = int(np.count_nonzero(dep.operator_mask(which)))
     else:
-        raise ConfigError(f"which must be None, an operator index or an OperatorSet, got {which!r}")
+        n = int(np.count_nonzero(dep.operator_mask(operator)))
     return n / area
 
 
@@ -131,17 +126,16 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Overlap estimators
 
-def estimate_overlap_indirect(dep: Deployment, op1: int = 1, op2: int = 2) -> float:
-    """Shared sites over all physical sites: requires co-located occupancy."""
+def estimate_overlap_indirect(dep: Deployment) -> float:
+    """Sites shared by operators 1 and 2 over all physical sites: requires co-located occupancy."""
     if dep.n_sites == 0:
         raise DataError("cannot estimate overlap of an empty deployment")
-    both = dep.operator_mask(op1) & dep.operator_mask(op2)
+    both = dep.operator_mask(1) & dep.operator_mask(2)
     return float(np.count_nonzero(both)) / dep.n_sites
 
 
-def estimate_overlap_direct(dep: Deployment, n_bins: int, op1: int = 1,
-                            op2: int = 2) -> float:
-    """Cross-moment overlap estimate on a k x k grid (n_bins = k^2).
+def estimate_overlap_direct(dep: Deployment, n_bins: int) -> float:
+    """Cross-moment overlap estimate of operators 1 and 2 on a k x k grid (n_bins = k^2).
 
     (sum over cells of count1*count2 - N1*N2/n_bins) / N; the subtracted
     term removes the independent cross-product so only the co-located
@@ -155,8 +149,8 @@ def estimate_overlap_direct(dep: Deployment, n_bins: int, op1: int = 1,
     w = dep.window
     cell = _bin_index(dep.xy[:, 0], w.x_min, w.x_max, k) * k
     cell += _bin_index(dep.xy[:, 1], w.y_min, w.y_max, k)
-    m1 = dep.operator_mask(op1)
-    m2 = dep.operator_mask(op2)
+    m1 = dep.operator_mask(1)
+    m2 = dep.operator_mask(2)
     c1 = np.bincount(cell[m1], minlength=n_bins)
     c2 = np.bincount(cell[m2], minlength=n_bins)
     n1 = float(np.count_nonzero(m1))
@@ -188,9 +182,9 @@ def _bin_index(v: np.ndarray, lo: float, hi: float, k: int) -> np.ndarray:
     return np.minimum(b, k - 1)
 
 
-def _smooth(values: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
-    """Centered moving average, truncated at the ends."""
-    half = window // 2
+def _smooth(values: np.ndarray) -> np.ndarray:
+    """Centered moving average over SMOOTH_WINDOW values, truncated at the ends."""
+    half = SMOOTH_WINDOW // 2
     out = np.empty_like(values, dtype=float)
     for i in range(values.size):
         lo = max(0, i - half)
@@ -201,10 +195,8 @@ def _smooth(values: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OverlapReport:
-    """Overlap estimates for an operator pair, across a grid-size ladder."""
+    """Overlap estimates for operators 1 and 2, across a grid-size ladder."""
 
-    op1: int
-    op2: int
     window_area_m2: float
     n_sites: int
     n_op1: int
@@ -219,14 +211,14 @@ class OverlapReport:
     def to_text(self) -> str:
         km2 = self.window_area_m2 / 1e6
         lines = [
-            f"operators: {self.op1} and {self.op2}",
+            "operators: 1 and 2",
             f"window_area_km2: {km2!r}",
             f"sites_total: {self.n_sites}",
-            f"sites_op{self.op1}: {self.n_op1}",
-            f"sites_op{self.op2}: {self.n_op2}",
+            f"sites_op1: {self.n_op1}",
+            f"sites_op2: {self.n_op2}",
             f"sites_shared: {self.n_shared}",
-            f"lambda_op{self.op1}_per_km2: {self.n_op1 / km2!r}",
-            f"lambda_op{self.op2}_per_km2: {self.n_op2 / km2!r}",
+            f"lambda_op1_per_km2: {self.n_op1 / km2!r}",
+            f"lambda_op2_per_km2: {self.n_op2 / km2!r}",
             f"rho_indirect: {self.rho_indirect!r}",
             f"rho_direct_plateau: {self.rho_plateau!r}",
             "rho_direct_by_bins:",
@@ -242,8 +234,7 @@ class OverlapReport:
         ]
 
 
-def overlap_report(dep: Deployment, bin_counts=DEFAULT_BIN_COUNTS, op1: int = 1,
-                   op2: int = 2) -> OverlapReport:
+def overlap_report(dep: Deployment, bin_counts=DEFAULT_BIN_COUNTS) -> OverlapReport:
     """Run both overlap estimators; the plateau summarizes the direct ladder.
 
     The plateau statistic is the median of the smoothed direct estimates
@@ -257,20 +248,18 @@ def overlap_report(dep: Deployment, bin_counts=DEFAULT_BIN_COUNTS, op1: int = 1,
         _check_bin_count(b)
     if list(bins) != sorted(set(bins)):
         raise ConfigError("bin counts must be strictly increasing")
-    raw = np.array([estimate_overlap_direct(dep, nb, op1, op2) for nb in bins])
+    raw = np.array([estimate_overlap_direct(dep, nb) for nb in bins])
     smoothed = _smooth(raw)
     upper = smoothed[len(bins) // 2 :]
-    m1 = dep.operator_mask(op1)
-    m2 = dep.operator_mask(op2)
+    m1 = dep.operator_mask(1)
+    m2 = dep.operator_mask(2)
     return OverlapReport(
-        op1=op1,
-        op2=op2,
         window_area_m2=dep.window.area(),
         n_sites=dep.n_sites,
         n_op1=int(np.count_nonzero(m1)),
         n_op2=int(np.count_nonzero(m2)),
         n_shared=int(np.count_nonzero(m1 & m2)),
-        rho_indirect=estimate_overlap_indirect(dep, op1, op2),
+        rho_indirect=estimate_overlap_indirect(dep),
         bin_counts=bins,
         rho_direct_raw=tuple(float(v) for v in raw),
         rho_direct_smoothed=tuple(float(v) for v in smoothed),

@@ -31,12 +31,6 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(_as_seed_sequence(seed))
-
-
 @dataclass(frozen=True, eq=False)
 class Deployment:
     """Realized sites in a window.
@@ -79,10 +73,6 @@ class Deployment:
         """Boolean mask of sites whose occupants contain operator m."""
         bit = OperatorSet.of(m).bits
         return (self.occupants & np.uint16(bit)) != 0
-
-    def subset_mask(self, subset: OperatorSet) -> np.ndarray:
-        """Boolean mask of sites whose occupants equal ``subset`` exactly."""
-        return self.occupants == np.uint16(subset.bits)
 
     def operators(self) -> tuple[int, ...]:
         """Ascending operator indices present anywhere in the deployment."""
@@ -161,7 +151,7 @@ def couple_two_operators(spec: TwoOpSpec, window: Window, seed) -> Deployment:
     For b <= a no site is left unclaimed, and the shared process has
     density (a-b)*lambda_total.
     """
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     _guard_point_budget(spec.lambda_total * window.area(), "in the window")
     n = int(rng.poisson(spec.lambda_total * window.area()))
     xy = _uniform_in_window(rng, window, n)
@@ -179,7 +169,7 @@ def thin_blockage(dep: Deployment, origin: tuple[float, float], beta: float, see
     """
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     d = np.hypot(dep.xy[:, 0] - origin[0], dep.xy[:, 1] - origin[1])
     return replace(dep, link_los=rng.random(dep.n_sites) < np.exp(-beta * d))
 
@@ -219,7 +209,7 @@ def clustered_thinning(dep: Deployment, parent_density: float, keep_radius: floa
     """
     if parent_density <= 0 or keep_radius <= 0:
         raise ConfigError("parent_density and keep_radius must be positive")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     n_centers = int(rng.poisson(parent_density * dep.window.area()))
     if n_centers == 0 or dep.n_sites == 0:
         return dep.keep(np.zeros(dep.n_sites, dtype=bool))
@@ -357,11 +347,11 @@ def _read_window_comment(path: Path, line: str) -> Window:
         raise DataError(f"{path}: bad window comment: {exc}") from exc
 
 
-def read_deployment_csv(path: str | Path, window: Window | None = None) -> Deployment:
+def read_deployment_csv(path: str | Path) -> Deployment:
     """Read a deployment CSV (schema of write_deployment_csv).
 
-    Window resolution order: explicit argument, the optional window
-    comment line, else the sites' bounding box (padded to positive area).
+    The window is the optional window comment line's, else the sites'
+    bounding box (padded to positive area).
     Blank rows are skipped and do not count in the row numbers of errors.
     The file is read once, front to back, in blocks of lines; the first
     block refused hands itself and the rest of the file to a row loop,
@@ -373,10 +363,8 @@ def read_deployment_csv(path: str | Path, window: Window | None = None) -> Deplo
     except OSError as exc:
         raise DataError(f"cannot read deployment file {path}: {exc}") from exc
     with fh:
-        xy, occ, file_window = _read_rows(path, fh)
+        xy, occ, window = _read_rows(path, fh)
     xy = np.frombuffer(xy, dtype=np.float64).reshape(-1, 2)
-    if window is None:
-        window = file_window
     if window is None:
         if not occ:
             raise DataError(f"{path}: empty deployment with no window metadata")

@@ -70,7 +70,6 @@ class SimPlan:
     replications: int = 20000
     seed: int | tuple = 0
     home_operator: int = 1
-    include_interference: bool = True
     workers: int = 1
 
     def __post_init__(self):
@@ -94,7 +93,6 @@ class RunReport:
     near_radius_m: float
     sites_per_rep: float
     fading: str
-    include_interference: bool
     seed_text: str
     workers: int
 
@@ -109,7 +107,6 @@ class RunReport:
             f"{NLOS_OMISSION_BOUND:g} x noise power",
             f"sites_per_rep: {self.sites_per_rep!r}",
             f"fading: {self.fading}",
-            f"include_interference: {self.include_interference}",
             f"seed: {self.seed_text}",
             f"workers: {self.workers}",
         ]
@@ -356,8 +353,7 @@ def _run_batches(field, params: SystemParams, plan: SimPlan, root: np.random.See
         rng = _batch_stream(root, k)
         n = min(batch, plan.replications - k * batch)
         d, los, occ, starts, extra = field.draw(n, rng)
-        sinr, _ = sinr_batch(d, los, occ, starts, plan.home_operator, params, rng,
-                             plan.include_interference)
+        sinr, _ = sinr_batch(d, los, occ, starts, plan.home_operator, params, rng)
         parts.append(sinr)
         redraws += extra
         sites += d.size
@@ -367,12 +363,12 @@ def _run_batches(field, params: SystemParams, plan: SimPlan, root: np.random.See
 # ---------------------------------------------------------------------------
 # Curve construction from samples
 
-def wilson_halfwidth(successes, n: int, z: float = _Z95):
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_halfwidth(successes, n: int):
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     k = np.asarray(successes, dtype=float)
     p = k / n
-    denom = 1.0 + z * z / n
-    half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+    denom = 1.0 + _Z95 * _Z95 / n
+    half = _Z95 * np.sqrt(p * (1.0 - p) / n + _Z95 * _Z95 / (4.0 * n * n)) / denom
     return half if half.ndim else float(half)
 
 
@@ -451,7 +447,6 @@ def run_simulation(scenario, params: SystemParams, plan: SimPlan) -> SimResult:
         near_radius_m=field.radius,
         sites_per_rep=sites / plan.replications,
         fading=params.fading.kind,
-        include_interference=plan.include_interference,
         seed_text=repr(plan.seed),
         workers=plan.workers,
     )

@@ -443,9 +443,11 @@ def test_laplace_conditioned_on_los_serving_beats_nlos():
 # Coverage curves
 
 
-def test_sinr_coverage_no_interference_matches_quadrature():
-    # Oracle: P(SNR > T) = sum_tau int f_tau(r) exp(-T sigma^2 r^alpha/(c G)) dr
-    scen = mw.BlockModel(mw.Window.square(1.0), {mw.OperatorSet.of(1): 30.0 / KM2})
+def test_sinr_coverage_of_one_operator_matches_quadrature():
+    # Oracle: P(SINR > T) = sum_tau int f_tau(r) exp(-sigma^2 s) L_I(s) dr,
+    # s = T r^alpha/(c G)
+    one = mw.OperatorSet.of(1)
+    scen = mw.BlockModel(mw.Window.square(1.0), {one: 30.0 / KM2})
     t_lin = 10.0  # 10 dB
     r_max = truncation_radius(30.0 / KM2, P, tail_mass=1e-10)
     want = 0.0
@@ -454,12 +456,13 @@ def test_sinr_coverage_no_interference_matches_quadrature():
         al = P.alpha_los if los else P.alpha_nlos
 
         def f(r):
-            snr_term = math.exp(-t_lin * P.sigma2 * r**al / (c * P.gain_main))
-            return association_pdf(scen, P, mw.OperatorSet.of(1), los, r) * snr_term
+            s = t_lin * r**al / (c * P.gain_main)
+            return (association_pdf(scen, P, one, los, r) * math.exp(-P.sigma2 * s)
+                    * mw.laplace_general(scen, P, one, los, r, s))
 
         mass, _ = integrate.quad(f, 1e-6, r_max, limit=200)
         want += mass
-    curve = mw.sinr_coverage(scen, P, [10.0], include_interference=False)
+    curve = mw.sinr_coverage(scen, P, [10.0])
     assert curve.probabilities[0] == pytest.approx(want, abs=1e-6)
 
 

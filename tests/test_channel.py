@@ -117,15 +117,13 @@ def test_shared_serving_site_interferes_once():
 def test_association_prefers_stronger_path_gain():
     # NLOS at 50 m: 1e-7 * 50^-4 = 1.6e-14; LOS at 400 m: 1e-6 * 400^-2 = 6.25e-12
     dep = _dep([(50.0, 0.0, 1), (400.0, 0.0, 1)], [False, True])
-    _, serving = mw.sinr_at_user(dep, (0.0, 0.0), 1, P, np.random.default_rng(0),
-                                 include_interference=False)
+    _, serving = mw.sinr_at_user(dep, (0.0, 0.0), 1, P, np.random.default_rng(0))
     assert serving == 1
 
 
 def test_association_tie_breaks_to_lowest_index():
     dep = _dep([(0.0, 120.0, 1), (120.0, 0.0, 1)], [True, True])
-    _, serving = mw.sinr_at_user(dep, (0.0, 0.0), 1, P, np.random.default_rng(0),
-                                 include_interference=False)
+    _, serving = mw.sinr_at_user(dep, (0.0, 0.0), 1, P, np.random.default_rng(0))
     assert serving == 0
 
 
@@ -141,8 +139,7 @@ def test_sinr_requires_labels_and_home_sites():
 
 def test_coincident_site_distance_is_clipped():
     dep = _dep([(0.0, 0.0, 1)], [True])
-    sinr, serving = mw.sinr_at_user(dep, (0.0, 0.0), 1, P, np.random.default_rng(3),
-                                    include_interference=False)
+    sinr, serving = mw.sinr_at_user(dep, (0.0, 0.0), 1, P, np.random.default_rng(3))
     h = np.random.default_rng(3).exponential(1.0, 1)[0]
     assert serving == 0
     assert sinr == pytest.approx(P.c_los * 1e-3**-2 * h * P.gain_main / P.sigma2, rel=1e-12)

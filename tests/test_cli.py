@@ -388,11 +388,30 @@ def test_press_rejects_bad_input_without_output(tmp_path, capsys, flags, code, m
     dep = mw.couple_two_operators(mw.fid_scenario(40.0 / KM2, 0.5), mw.Window.square(2000.0),
                                   seed=9)
     csv_path = tmp_path / "op1.csv"
-    mw.write_deployment_csv(dep.keep(dep.subset_mask(mw.OperatorSet.of(1))), csv_path)
+    mw.write_deployment_csv(dep.keep(dep.occupants == 1), csv_path)
     out = tmp_path / "pressed"
     assert main(["press", "--deployment", str(csv_path), *flags, "--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--fid", "0.4", "--sinr", "0:10:0"],
+    ["simulate", "--fid", "0.4", "--reps", "50", "--sinr", "0:10:0"],
+    ["estimate", "--fid", "0.4", "--window-km", "1"],
+    ["press", "--deployment", "sites.csv", "--target-density", "10"],
+    ["compare", "--rhos", "1", "--reps", "20"],
+], ids=["analyze", "simulate", "estimate", "press", "compare"])
+def test_out_that_cannot_be_created_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    dep = mw.couple_two_operators(mw.fid_scenario(40.0 / KM2, 0.5), mw.Window.square(500.0),
+                                  seed=9)
+    mw.write_deployment_csv(dep, tmp_path / "sites.csv")
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
 
 
 def test_compare_writes_all_labels(tmp_path):

@@ -1,18 +1,23 @@
-"""The package names the benchmark calls still resolve.
+"""The package names the benchmark calls and the README names still resolve.
 
 The benchmark's traced run wraps the functions listed in
 ``perfbench/layers.py``'s ``TRACE_TARGETS`` and its probes call more
 package functions directly; the untraced run touches only a few of them,
 so a deleted name would pass every other test and still break a traced
 run.  The file is read, not imported, so the check needs nothing from
-the benchmark.
+the benchmark.  The README is the package's only list of its public
+API, so every ``mw.<name>`` it mentions must exist too.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+import mmwshare as mw
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
 MODULES = {"analytic", "channel", "cli", "core", "estimation", "geometry", "montecarlo"}
 
 
@@ -43,3 +48,9 @@ def test_every_name_the_benchmark_calls_resolves():
         if not hasattr(importlib.import_module(path), name):
             missing.append(f"{path}.{name}")
     assert missing == []
+
+
+def test_every_name_the_readme_uses_resolves():
+    names = set(re.findall(r"\bmw\.([A-Za-z_]\w*)", (ROOT / "README.md").read_text()))
+    assert len(names) >= 18
+    assert sorted(n for n in names if not hasattr(mw, n)) == []

@@ -28,8 +28,6 @@ def test_estimate_density_counting_modes():
     assert mw.estimate_density(dep) == pytest.approx(2.0 / KM2)
     assert mw.estimate_density(dep, 1) == pytest.approx(1.5 / KM2)
     assert mw.estimate_density(dep, 2) == pytest.approx(1.0 / KM2)
-    only1 = mw.OperatorSet.of(1)
-    assert mw.estimate_density(dep, only1) == pytest.approx(1.0 / KM2)
     with pytest.raises(ConfigError):
         mw.estimate_density(dep, "1")
 
@@ -256,12 +254,12 @@ def test_merge_centroids_are_bitwise_the_add_at_sums(seed):
         pos /= np.bincount(labels, minlength=k)[:, None]
         assert np.array_equal(mw.merge_colocated(dep, eps).xy, pos), eps
 
-def _histogram_overlap(dep, n_bins, op1=1, op2=2):
+def _histogram_overlap(dep, n_bins):
     """The direct estimator as np.histogram2d computes it (the reference)."""
     k = int(np.sqrt(n_bins))
     w = dep.window
     grid = [np.linspace(w.x_min, w.x_max, k + 1), np.linspace(w.y_min, w.y_max, k + 1)]
-    m1, m2 = dep.operator_mask(op1), dep.operator_mask(op2)
+    m1, m2 = dep.operator_mask(1), dep.operator_mask(2)
     c1, _, _ = np.histogram2d(dep.xy[m1, 0], dep.xy[m1, 1], bins=grid)
     c2, _, _ = np.histogram2d(dep.xy[m2, 0], dep.xy[m2, 1], bins=grid)
     n1, n2 = float(np.count_nonzero(m1)), float(np.count_nonzero(m2))

@@ -54,8 +54,8 @@ def test_block_streams_do_not_interact():
     # the {1} block realization must not depend on other blocks' densities
     lone = mw.sample_block_model(_block_model({"1": 10.0, "2": 0.0}), seed=7)
     joint = mw.sample_block_model(_block_model({"1": 10.0, "2": 8.0}), seed=7)
-    only1 = lone.keep(lone.subset_mask(mw.OperatorSet.of(1)))
-    also1 = joint.keep(joint.subset_mask(mw.OperatorSet.of(1)))
+    only1 = lone.keep(lone.occupants == 1)
+    also1 = joint.keep(joint.occupants == 1)
     assert np.array_equal(only1.xy, also1.xy)
 
 
@@ -180,9 +180,6 @@ def test_read_csv_without_window_uses_bounding_box(tmp_path):
     assert dep.n_sites == 2
     assert dep.window.contains(100.0, 200.0) and dep.window.contains(300.0, 250.0)
     assert dep.occupants.tolist() == [1, 3]
-    # explicit window argument wins
-    forced = mw.read_deployment_csv(path, window=mw.Window(0, 1000, 0, 1000))
-    assert forced.window == mw.Window(0, 1000, 0, 1000)
 
 
 def test_read_csv_rejects_garbage(tmp_path):

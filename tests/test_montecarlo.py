@@ -92,15 +92,6 @@ def test_worker_count_does_not_change_samples():
     assert pooled.report.workers == 3
 
 
-def test_interference_lowers_sinr():
-    base = SimPlan(replications=500, seed=33)
-    with_i = mw.run_simulation(SPEC, P, base)
-    without = mw.run_simulation(
-        SPEC, P, SimPlan(replications=500, seed=33, include_interference=False),
-    )
-    assert without.sinr.mean() > with_i.sinr.mean()
-
-
 def test_simulation_on_fixed_deployment():
     win = mw.Window.square(3000.0)
     dep = mw.couple_two_operators(mw.fid_scenario(40.0 / KM2, 0.5), win, seed=4)
